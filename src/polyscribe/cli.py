@@ -12,7 +12,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -76,7 +75,7 @@ def _read(path: str) -> str:
 
 # ------------------------------------------------------------------ analyze
 
-def _run_analysis(m, path_text, path, budget_subsets, budget_cycles,
+def _run_analysis(m, path_text, path, budget_subsets,
                   verify_certs: bool) -> AnalysisReport:
     t0 = time.monotonic()
     g = m.graph()
@@ -86,7 +85,8 @@ def _run_analysis(m, path_text, path, budget_subsets, budget_cycles,
         input=_input_identity(path, path_text),
         structure={"vertices": m.n_vertices, "edges": len(m.edges),
                    "faces": m.n_faces},
-        budgets={"subsets": budget_subsets, "cycles": budget_cycles},
+        budgets={"subsets": budget_subsets,
+                 "toughness": graphs.DEFAULT_TOUGHNESS_BUDGET},
     )
     tests = report.tests
     verified = True
@@ -122,11 +122,12 @@ def _run_analysis(m, path_text, path, budget_subsets, budget_cycles,
     except BudgetExceeded as exc:
         add("facet paint test", "UNKNOWN", str(exc))
 
-    # Toughness and supertoughness.
+    # Toughness and supertoughness enumerate vertex subsets, so they keep
+    # their own smaller budget rather than --budget-subsets.
     for name, fn in (("1-tough", graphs.is_one_tough),
                      ("1-supertough", graphs.is_one_supertough)):
         try:
-            ok, cert = fn(g, budget_subsets)
+            ok, cert = fn(g, graphs.DEFAULT_TOUGHNESS_BUDGET)
             if ok:
                 add(name, "PASS", f"graph is {name}")
             else:
@@ -146,7 +147,8 @@ def _run_analysis(m, path_text, path, budget_subsets, budget_cycles,
         "all degrees in [4,6]" if in_range else "some degree outside [4,6]")
 
     try:
-        simple = graphs.simple_polytope_characterization(m, budget_subsets)
+        simple = graphs.simple_polytope_characterization(
+            m, graphs.DEFAULT_TOUGHNESS_BUDGET)
         if simple is None:
             add("simple-polytope characterization", "SKIP", "map is not simple")
         else:
@@ -156,9 +158,9 @@ def _run_analysis(m, path_text, path, budget_subsets, budget_cycles,
         add("simple-polytope characterization", "UNKNOWN", str(exc))
 
     # HRS both directions and the quadric criterion.
-    insc = hrs.decide_inscribable(m, budget_cycles)
-    circ = hrs.decide_circumscribable(m, budget_cycles)
-    quad = hrs.decide_quadric_inscribable(m, "hyperboloid", budget_cycles)
+    insc = hrs.decide_inscribable(m)
+    circ = hrs.decide_circumscribable(m)
+    quad = hrs.decide_quadric_inscribable(m, "hyperboloid", sphere=insc)
     add("inscribable (angle system on dual)", insc.answer.value, insc.note,
         insc.certificates)
     add("circumscribable (angle system)", circ.answer.value, circ.note,
@@ -202,7 +204,7 @@ def cmd_analyze(args) -> int:
     text = _read(args.mapfile)
     m = maps.parse_map_json(text)
     report = _run_analysis(m, text, args.mapfile, args.budget_subsets,
-                           args.budget_cycles, args.verify_certificates)
+                           args.verify_certificates)
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     if "UNKNOWN" in {t["outcome"] for t in report.tests} | set(report.verdicts.values()):
         return 2
@@ -213,11 +215,11 @@ def cmd_decide(args) -> int:
     text = _read(args.mapfile)
     m = maps.parse_map_json(text)
     if args.question == "inscribable":
-        v = hrs.decide_inscribable(m, args.budget_cycles)
+        v = hrs.decide_inscribable(m)
     elif args.question == "circumscribable":
-        v = hrs.decide_circumscribable(m, args.budget_cycles)
+        v = hrs.decide_circumscribable(m)
     else:
-        v = hrs.decide_quadric_inscribable(m, args.question, args.budget_cycles)
+        v = hrs.decide_quadric_inscribable(m, args.question)
     if args.json:
         sys.stdout.write(json.dumps({
             "schema": SCHEMA, "input": _input_identity(args.mapfile, text),
@@ -404,9 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
         parser.add_argument("--budget-subsets", type=int, metavar="N",
                             default=d(graphs.DEFAULT_INDEP_BUDGET),
                             help="vertex budget for subset searches")
-        parser.add_argument("--budget-cycles", type=int, metavar="N",
-                            default=d(hrs.DEFAULT_CYCLE_BUDGET),
-                            help="simple-circuit enumeration budget")
         parser.add_argument("--seed", type=int, default=d(0))
         parser.add_argument("--parallel", action="store_true", default=d(False))
 

@@ -2,17 +2,26 @@
 
 Works in units of pi so the whole system is rational: edge weights must
 lie strictly in (0, 1), sum to exactly 2 around every face, and exceed 2
-on every simple non-facial circuit.  Strictness is reduced to a single
-margin variable t maximized by exact LP; the open system is feasible iff
-t* > 0.  Circuit rows are added by cutting planes, either against the
-fully enumerated circuit set or (above budget) a shortest-path
-separation oracle.
+on every simple non-facial circuit (Hodgson-Rivin-Smith).  Strictness is
+reduced to a single margin variable t maximized by exact LP; the open
+system is feasible iff t* > 0.
+
+Decisions add circuit rows by cutting planes from a shortest-path
+separation oracle, so the exponentially many circuits are never listed.
+A YES stops when the oracle finds no violated circuit: the relaxed
+optimum is then optimal for the full system.  A NO stops as soon as the
+relaxed t* <= 0, because dropping circuit rows can only raise t*; its
+certificate is the LP dual over the binding circuits.  The full circuit
+enumeration and `solve_max_margin` over it remain as the reference the
+tests check the decisions against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
+from math import lcm
 
 import networkx as nx
 
@@ -121,46 +130,92 @@ class MarginOutcome:
     farkas: list[Fraction] | None = None
 
 
-def solve_max_margin(system: MarginSystem, circuits: list[Circuit]) -> MarginOutcome:
-    """Exact optimum of the margin LP against the full given circuit set,
-    solved by cutting planes: start with faces and box rows, repeatedly add
-    the most violated non-facial circuit row until none is violated."""
-    nonfacial = [c for c in circuits if not c.facial]
+def _cutting_planes(system: MarginSystem, separate) -> MarginOutcome:
+    """Start with faces and box rows; while separate(w, t) returns a
+    circuit, add its row and re-solve.  The outcome is the optimum of the
+    last relaxation, with the circuits added as its binding set."""
+    ne = len(system.edges)
     active: list[Circuit] = []
     while True:
         lp = system.build_lp(active)
         res = solve_lp(lp)
         if res.status == "infeasible":
             return MarginOutcome("infeasible", None, None, active, lp, None, res.farkas)
-        assert res.status == "optimal"
-        ne = len(system.edges)
+        if res.status != "optimal":
+            raise RuntimeError(f"margin LP is {res.status}; t is bounded by the weight box")
         t = res.x[ne] - res.x[ne + 1]
         w = {e: res.x[i] + t for i, e in enumerate(system.edges)}
+        violated = separate(w, t)
+        if violated is None:
+            return MarginOutcome("optimal", t, w, active, lp, res.duals)
+        active.append(violated)
+
+
+def solve_max_margin(system: MarginSystem, circuits: list[Circuit]) -> MarginOutcome:
+    """Exact optimum of the margin LP against the full given circuit set:
+    cutting planes that add the most violated non-facial circuit of the
+    list (the first in list order among ties) until none is violated."""
+    nonfacial = [c for c in circuits if not c.facial]
+
+    def most_violated(w, t):
         worst, worst_gap = None, Fraction(0)
         for c in nonfacial:
-            if c in active:
-                continue
             gap = sum((w[e] for e in c.edges), Fraction(0)) - (2 + t)
             if gap < worst_gap:
                 worst, worst_gap = c, gap
-        if worst is None:
-            return MarginOutcome("optimal", t, w, active, lp, res.duals)
-        active.append(worst)
+        return worst
+
+    return _cutting_planes(system, most_violated)
 
 
 # ----------------------------------------------------------- separation oracle
 
-def _min_violated_circuit(m: CombinatorialMap, w: dict, t: Fraction) -> Circuit | None:
-    """Minimum-weight violated non-facial circuit, by per-edge shortest paths.
+def _shortest_path(adj: dict, s: int, t: int, limit: int | None):
+    """Dijkstra from s to t on integer weights: (length, path) of a shortest
+    s-t path shorter than limit, or None if there is none."""
+    dist = {s: 0}
+    prev = {}
+    done = set()
+    heap = [(0, s)]
+    while heap:
+        d, x = heappop(heap)
+        if x == t:
+            path = [t]
+            while path[-1] != s:
+                path.append(prev[path[-1]])
+            return d, path
+        if x in done:
+            continue
+        done.add(x)
+        for y, k in adj[x].items():
+            nd = d + k
+            if (limit is None or nd < limit) and (y not in dist or nd < dist[y]):
+                dist[y] = nd
+                prev[y] = x
+                heappush(heap, (nd, y))
+    return None
+
+
+def _min_nonfacial_circuit(m: CombinatorialMap, w: dict) -> tuple[Circuit, Fraction] | None:
+    """A minimum-weight non-facial simple circuit and its weight, by
+    per-edge shortest paths.
 
     Only sound for strictly positive weights (Dijkstra).  A non-facial
     circuit through edge e misses at least one other edge of each of the two
-    faces of e, so min over those deletions is exhaustive.
+    faces of e, so the minimum over those deletions is exhaustive.  The three
+    deleted edges are removed from one graph and restored after each search.
+    Weights are scaled by their common denominator, so the searches run on
+    integers and stay exact; a search stops once it cannot beat the best
+    circuit so far.
     """
-    assert all(x > 0 for x in w.values())
-    g = nx.Graph()
-    for (u, v), x in w.items():
-        g.add_edge(u, v, weight=x)
+    if any(x <= 0 for x in w.values()):
+        raise ValueError("the separation oracle needs strictly positive weights")
+    scale = lcm(*(x.denominator for x in w.values()))
+    iw = {e: x.numerator * (scale // x.denominator) for e, x in w.items()}
+    adj: dict = {}
+    for (u, v), k in iw.items():
+        adj.setdefault(u, {})[v] = k
+        adj.setdefault(v, {})[u] = k
     faces_of_edge: dict = {}
     for f in m.faces:
         fe = _face_edges(f)
@@ -172,23 +227,25 @@ def _min_violated_circuit(m: CombinatorialMap, w: dict, t: Fraction) -> Circuit 
         u, v = e
         for e1 in sorted(f1 - {e}):
             for e2 in sorted(f2 - {e}):
-                h = g.copy()
-                h.remove_edge(*e)
-                if h.has_edge(*e1):
-                    h.remove_edge(*e1)
-                if h.has_edge(*e2):
-                    h.remove_edge(*e2)
-                try:
-                    length, path = nx.single_source_dijkstra(h, u, v)
-                except nx.NetworkXNoPath:
-                    continue
-                total = length + w[e]
-                if best_w is None or total < best_w:
+                cut = {e, e1, e2}
+                for a, b in cut:
+                    del adj[a][b], adj[b][a]
+                found = _shortest_path(adj, u, v, None if best is None else best_w - iw[e])
+                for a, b in cut:
+                    adj[a][b] = adj[b][a] = iw[(a, b)]
+                if found is not None:
+                    length, path = found
                     es = frozenset(edge_key((path[i], path[i + 1]))
                                    for i in range(len(path) - 1)) | {e}
-                    best, best_w = Circuit(es, False), total
-    if best is not None and best_w < 2 + t:
-        return best
+                    best, best_w = Circuit(es, False), length + iw[e]
+    return None if best is None else (best, Fraction(best_w, scale))
+
+
+def _min_violated_circuit(m: CombinatorialMap, w: dict, t: Fraction) -> Circuit | None:
+    """The minimum-weight non-facial circuit if its row sum(w) >= 2 + t fails."""
+    found = _min_nonfacial_circuit(m, w)
+    if found is not None and found[1] < 2 + t:
+        return found[0]
     return None
 
 
@@ -213,10 +270,13 @@ def parse_angle_assignment(cert: Certificate) -> dict:
 
 
 def verify_angle_assignment(m: CombinatorialMap, weights: dict,
-                            circuits: list[Circuit] | None = None,
-                            budget: int = DEFAULT_CYCLE_BUDGET) -> bool:
+                            circuits: list[Circuit] | None = None) -> bool:
     """Re-check a YES certificate: weights strictly in (0,1), facial sums
-    exactly 2, every non-facial simple circuit strictly above 2."""
+    exactly 2, every non-facial simple circuit strictly above 2.
+
+    Without a circuit list the last check runs in polynomial time: the
+    separation oracle's minimum non-facial circuit weight must exceed 2.
+    """
     if set(weights) != {edge_key(e) for e in m.edges}:
         return False
     if any(not 0 < x < 1 for x in weights.values()):
@@ -225,12 +285,10 @@ def verify_angle_assignment(m: CombinatorialMap, weights: dict,
         if sum((weights[e] for e in _face_edges(f)), Fraction(0)) != 2:
             return False
     if circuits is None:
-        circuits = enumerate_simple_circuits(m, budget)
-    for c in circuits:
-        if not c.facial:
-            if sum((weights[e] for e in c.edges), Fraction(0)) <= 2:
-                return False
-    return True
+        found = _min_nonfacial_circuit(m, weights)
+        return found is None or found[1] > 2
+    return all(c.facial or sum((weights[e] for e in c.edges), Fraction(0)) > 2
+               for c in circuits)
 
 
 def dual_witness_certificate(outcome: MarginOutcome) -> Certificate:
@@ -270,14 +328,13 @@ def verify_dual_witness(m: CombinatorialMap, cert: Certificate) -> bool:
 
 # ------------------------------------------------------------------- decisions
 
-def decide_circumscribable(m: CombinatorialMap,
-                           cycle_budget: int = DEFAULT_CYCLE_BUDGET) -> Verdict:
-    system = MarginSystem.from_map(m)
-    try:
-        circuits = enumerate_simple_circuits(m, cycle_budget)
-    except BudgetExceeded:
-        return _decide_lazy(m, system)
-    outcome = solve_max_margin(system, circuits)
+def decide_circumscribable(m: CombinatorialMap) -> Verdict:
+    """Cutting planes against the separation oracle.  A relaxed t* <= 0
+    already proves NO, and the oracle needs positive weights, so the loop
+    stops there."""
+    outcome = _cutting_planes(
+        MarginSystem.from_map(m),
+        lambda w, t: _min_violated_circuit(m, w, t) if t > 0 else None)
     if outcome.status == "infeasible":
         # Even the closed system (face equalities within the weight box) has
         # no solution; t* = -infinity sentinel.
@@ -285,37 +342,10 @@ def decide_circumscribable(m: CombinatorialMap,
                        "angle system infeasible: not circumscribable")
     if outcome.t_star > 0:
         cert = angle_assignment_certificate(outcome.weights, outcome.t_star)
-        assert verify_angle_assignment(m, outcome.weights, circuits)
-        return Verdict(Answer.YES, (cert,), "margin t* > 0: circumscribable")
+        return Verdict(Answer.YES, (cert,),
+                       "margin t* > 0 and the separation oracle finds no violated circuit")
     return Verdict(Answer.NO, (dual_witness_certificate(outcome),),
-                   "margin t* <= 0 against the full circuit set: not circumscribable")
-
-
-def _decide_lazy(m: CombinatorialMap, system: MarginSystem) -> Verdict:
-    """Cutting-plane mode without full enumeration: rows come from the
-    shortest-path separation oracle.  Sound because dropping circuit rows can
-    only increase t*: a nonpositive relaxed optimum already proves NO."""
-    active: list[Circuit] = []
-    while True:
-        lp = system.build_lp(active)
-        res = solve_lp(lp)
-        if res.status == "infeasible":
-            outcome = MarginOutcome("infeasible", None, None, active, lp, None, res.farkas)
-            return Verdict(Answer.NO, (dual_witness_certificate(outcome),),
-                           "angle system infeasible: not circumscribable")
-        ne = len(system.edges)
-        t = res.x[ne] - res.x[ne + 1]
-        w = {e: res.x[i] + t for i, e in enumerate(system.edges)}
-        if t <= 0:
-            outcome = MarginOutcome("optimal", t, w, active, lp, res.duals)
-            return Verdict(Answer.NO, (dual_witness_certificate(outcome),),
-                           "relaxed margin t* <= 0: not circumscribable")
-        violated = _min_violated_circuit(m, w, t)
-        if violated is None:
-            cert = angle_assignment_certificate(w, t)
-            return Verdict(Answer.YES, (cert,),
-                           "margin t* > 0 and separation oracle finds no violated circuit")
-        active.append(violated)
+                   "relaxed margin t* <= 0: not circumscribable")
 
 
 def _dual_edge_to_primal(m: CombinatorialMap) -> dict:
@@ -327,12 +357,11 @@ def _dual_edge_to_primal(m: CombinatorialMap) -> dict:
     return {edge_key(fs): e for e, fs in faces_of_edge.items()}
 
 
-def decide_inscribable(m: CombinatorialMap,
-                       cycle_budget: int = DEFAULT_CYCLE_BUDGET) -> Verdict:
+def decide_inscribable(m: CombinatorialMap) -> Verdict:
     """Inscribable iff the polar dual is circumscribable; angle certificates
     are relabeled from dual edges to the primal edges they cross."""
     dm = dual_map(m)
-    verdict = decide_circumscribable(dm, cycle_budget)
+    verdict = decide_circumscribable(dm)
     relabel = _dual_edge_to_primal(m)
     certs = []
     for cert in verdict.certificates:
@@ -353,13 +382,15 @@ def decide_inscribable(m: CombinatorialMap,
 
 
 def decide_quadric_inscribable(m: CombinatorialMap, quadric: str = "hyperboloid",
-                               cycle_budget: int = DEFAULT_CYCLE_BUDGET,
-                               hamilton_budget: int = DEFAULT_HAMILTON_BUDGET) -> Verdict:
+                               hamilton_budget: int = DEFAULT_HAMILTON_BUDGET, *,
+                               sphere: Verdict | None = None) -> Verdict:
     """Inscribable in the hyperboloid/cylinder iff sphere-inscribable and
-    Hamiltonian."""
+    Hamiltonian.  A caller that already holds decide_inscribable(m) passes
+    it as sphere so the angle system is not solved again."""
     if quadric not in ("hyperboloid", "cylinder"):
         raise ValueError(f"unknown quadric {quadric!r}")
-    sphere = decide_inscribable(m, cycle_budget)
+    if sphere is None:
+        sphere = decide_inscribable(m)
     if sphere.is_no:
         return Verdict(Answer.NO, sphere.certificates, "not sphere-inscribable")
     try:

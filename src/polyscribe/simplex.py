@@ -1,16 +1,17 @@
-"""Exact rational LP: dense two-phase simplex with Bland's anti-cycling rule.
+"""Exact rational LP: two-phase tableau simplex with Bland's anti-cycling rule.
 
 Problems are maximizations over x >= 0 with rows of relation "<=", ">="
 or "=".  The solver reports an exact optimum with primal solution and
 dual multipliers; on infeasibility it reports a Farkas-style witness.
-Everything is Fraction arithmetic; no floating point touches the
-decision path.
+Everything is exact rational arithmetic (integer tableau rows over a
+common denominator); no floating point touches the decision path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -24,9 +25,11 @@ class LinearProgram:
     rows: list[tuple[list[Fraction], str, Fraction]] = field(default_factory=list)
 
     def add_row(self, a, rel: str, b):
-        assert rel in (LE, GE, EQ)
+        if rel not in (LE, GE, EQ):
+            raise ValueError(f"unknown row relation {rel!r}")
         a = [Fraction(x) for x in a]
-        assert len(a) == self.n_vars
+        if len(a) != self.n_vars:
+            raise ValueError(f"row has {len(a)} coefficients, expected {self.n_vars}")
         self.rows.append((a, rel, Fraction(b)))
 
 
@@ -39,42 +42,81 @@ class LpResult:
     farkas: list[Fraction] | None = None       # infeasibility multipliers, same convention
 
 
+# Tableau rows (and z-rows) are lists of integers: numerators of the column
+# entries, then of the right-hand side, then last a positive common
+# denominator.  Integer arithmetic keeps every value exact and is much
+# cheaper than Fraction arithmetic; the values, and so every pivot choice,
+# are those of the rational tableau.
+
+def _scaled(values) -> list[int]:
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values] + [den]
+
+
+def _values(row) -> list[Fraction]:
+    return [Fraction(x, row[-1]) for x in row[:-1]]
+
+
+def _lowest(row):
+    g = gcd(*row)
+    return row if g == 1 else [x // g for x in row]
+
+
+def _eliminate(row, pr, c):
+    """row - row[c] * pr, where pr has value 1 in column c."""
+    p, f = pr[-1], row[c]
+    out = [a * p - f * b for a, b in zip(row, pr)]
+    out[-1] = row[-1] * p
+    return _lowest(out)
+
+
 def _pivot(tab, basis, r, c):
-    pr = tab[r]
-    pv = pr[c]
-    if pv != 1:
-        tab[r] = pr = [x / pv for x in pr]
+    """Pivot on (r, c); rows with a zero in column c are left as they are."""
+    pr = tab[r][:-1] + [tab[r][c]]
+    if pr[-1] < 0:
+        pr = [-x for x in pr]
+    tab[r] = pr = _lowest(pr)
     for i, row in enumerate(tab):
-        if i != r and row[c] != 0:
-            f = row[c]
-            tab[i] = [a - f * b for a, b in zip(row, pr)]
+        if i != r and row[c]:
+            tab[i] = _eliminate(row, pr, c)
     basis[r] = c
 
 
-def _run_simplex(tab, basis, obj, allowed):
-    """Maximize obj (list over columns, constant term last) on the tableau.
+def _reduce_against_basis(z, tab, basis):
+    for i, bc in enumerate(basis):
+        if z[bc]:
+            z = _eliminate(z, tab[i], bc)
+    return z
 
-    obj is given as the z-row in 'z_j - c_j' form already reduced against the
-    basis.  Returns 'optimal' or 'unbounded'.  Bland's rule throughout.
+
+def _run_simplex(tab, basis, obj, allowed):
+    """Maximize obj (a z-row over the columns and the constant term) on the
+    tableau.
+
+    obj is given in 'z_j - c_j' form already reduced against the basis and is
+    updated in place.  Returns 'optimal' or 'unbounded'.  Bland's rule
+    throughout.
     """
-    ncols = len(tab[0]) - 1
+    ncols = len(obj) - 2
     while True:
+        basic = set(basis)
         enter = next((j for j in range(ncols)
-                      if allowed[j] and j not in basis and obj[j] < 0), None)
+                      if allowed[j] and j not in basic and obj[j] < 0), None)
         if enter is None:
             return "optimal"
         leave = None
-        best = None
         for i, row in enumerate(tab):
-            if row[enter] > 0:
-                ratio = row[-1] / row[enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+            a = row[enter]
+            if a > 0:
+                # ratio b / a, compared by cross-multiplication (a, la > 0)
+                b = row[-2]
+                if leave is None or b * la < lb * a or \
+                        (b * la == lb * a and basis[i] < basis[leave]):
+                    leave, lb, la = i, b, a
         if leave is None:
             return "unbounded"
         _pivot(tab, basis, leave, enter)
-        f = obj[enter]
-        obj[:] = [a - f * b for a, b in zip(obj, tab[leave])]
+        obj[:] = _eliminate(obj, tab[leave], enter)
 
 
 def solve_lp(lp: LinearProgram) -> LpResult:
@@ -96,22 +138,12 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     slack_col = [None] * m   # column of the +/-1 slack/surplus of each row
     art_col = [None] * m
     cols = n
-    specs = []
     for i, (a, rel, b) in enumerate(norm):
-        if rel == LE:
+        if rel in (LE, GE):
             slack_col[i] = cols
-            specs.append(("slack", i))
             cols += 1
-        elif rel == GE:
-            slack_col[i] = cols
-            specs.append(("surplus", i))
-            cols += 1
+        if rel in (GE, EQ):
             art_col[i] = cols
-            specs.append(("art", i))
-            cols += 1
-        else:
-            art_col[i] = cols
-            specs.append(("art", i))
             cols += 1
 
     tab = []
@@ -130,24 +162,23 @@ def solve_lp(lp: LinearProgram) -> LpResult:
             row[art_col[i]] = Fraction(1)
             basis[i] = art_col[i]
         row[-1] = Fraction(b)
-        tab.append(row)
+        tab.append(_scaled(row))
 
     artificials = {c for c in art_col if c is not None}
     allowed1 = [True] * cols
 
     # Phase 1: maximize -(sum of artificials); z-row reduced against basis.
-    obj1 = [Fraction(0)] * (cols + 1)
+    obj1 = [0] * (cols + 2)
+    obj1[-1] = 1
     for c in artificials:
-        obj1[c] = Fraction(1)
-    for i, bc in enumerate(basis):
-        if bc in artificials:
-            obj1 = [a - b for a, b in zip(obj1, tab[i])]
-    status = _run_simplex(tab, basis, obj1, allowed1)
-    assert status == "optimal"  # phase 1 is bounded below by 0
-    if -obj1[-1] != 0:
+        obj1[c] = 1
+    obj1 = _reduce_against_basis(obj1, tab, basis)
+    if _run_simplex(tab, basis, obj1, allowed1) != "optimal":
+        raise RuntimeError("phase 1 reported unbounded; its objective is bounded by 0")
+    if obj1[-2] != 0:
         # Infeasible; Farkas multipliers from the phase-1 z-row.  Artificial
         # columns carry phase-1 cost -1, so their z-row entries are y_i + 1.
-        y = _extract_duals(obj1, slack_col, art_col, m, art_cost=Fraction(-1))
+        y = _extract_duals(_values(obj1), slack_col, art_col, m, art_cost=Fraction(-1))
         y = [-yi if fl else yi for yi, fl in zip(y, flipped)]
         return LpResult("infeasible", farkas=y)
 
@@ -164,24 +195,19 @@ def solve_lp(lp: LinearProgram) -> LpResult:
 
     # Phase 2: remaining artificials sit on redundant rows and never re-enter.
     allowed2 = [c not in artificials for c in range(cols)]
-    obj2 = [Fraction(0)] * (cols + 1)
-    for j in range(n):
-        obj2[j] = -Fraction(lp.objective[j])
-    for i, bc in enumerate(basis):
-        if obj2[bc] != 0:
-            f = obj2[bc]
-            obj2 = [a - f * b for a, b in zip(obj2, tab[i])]
-    status = _run_simplex(tab, basis, obj2, allowed2)
-    if status == "unbounded":
+    obj2 = [-Fraction(c) for c in lp.objective[:n]] + [Fraction(0)] * (cols - n + 1)
+    obj2 = _reduce_against_basis(_scaled(obj2), tab, basis)
+    if _run_simplex(tab, basis, obj2, allowed2) == "unbounded":
         return LpResult("unbounded")
 
     x = [Fraction(0)] * n
     for i, bc in enumerate(basis):
         if bc < n:
-            x[bc] = tab[i][-1]
-    y = _extract_duals(obj2, slack_col, art_col, m, art_cost=Fraction(0))
+            x[bc] = Fraction(tab[i][-2], tab[i][-1])
+    z = _values(obj2)
+    y = _extract_duals(z, slack_col, art_col, m, art_cost=Fraction(0))
     y = [-yi if fl else yi for yi, fl in zip(y, flipped)]
-    return LpResult("optimal", objective=obj2[-1], x=x, duals=y)
+    return LpResult("optimal", objective=z[-1], x=x, duals=y)
 
 
 def _extract_duals(obj, slack_col, art_col, m, art_cost):

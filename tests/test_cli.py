@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from polyscribe import hrs
 from polyscribe.cli import main
-from polyscribe.corpus import named_polytope
+from polyscribe.corpus import named_polytope, prism
 from polyscribe.maps import serialize_map_json
 
 
@@ -37,6 +38,33 @@ def test_analyze_verify_certificates(mapfile, capsys):
                   "--verify-certificates")
     rep = json.loads(out)
     assert rc == 0 and rep["certificates_verified"] is True
+
+
+def test_analyze_decides_inscribability_once(mapfile, capsys, monkeypatch):
+    calls = []
+    decide = hrs.decide_inscribable
+
+    def counted(m):
+        calls.append(m)
+        return decide(m)
+    monkeypatch.setattr(hrs, "decide_inscribable", counted)
+    rc, out = run(capsys, "analyze", mapfile("cube"), "--json")
+    assert rc == 0 and json.loads(out)["verdicts"]["hyperboloid"] == "YES"
+    assert len(calls) == 1
+
+
+def test_analyze_prism_15_toughness_unknown(tmp_path, capsys):
+    # 30 vertices exceed the toughness budget of 22: those tests answer
+    # UNKNOWN (exit 2) instead of enumerating subsets for minutes
+    f = tmp_path / "prism15.json"
+    f.write_text(serialize_map_json(prism(15)))
+    rc, out = run(capsys, "analyze", str(f), "--json")
+    rep = json.loads(out)
+    outcomes = {t["name"]: t["outcome"] for t in rep["tests"]}
+    assert rc == 2
+    assert outcomes["1-tough"] == outcomes["1-supertough"] == "UNKNOWN"
+    assert rep["budgets"]["toughness"] == 22
+    assert rep["verdicts"]["inscribable"] == rep["verdicts"]["circumscribable"] == "YES"
 
 
 def test_decide_exit_codes(mapfile, capsys, tmp_path):

@@ -2,13 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from polyscribe.corpus import named_polytope
-from polyscribe.hrs import (MarginSystem, decide_circumscribable,
-                            decide_inscribable, decide_quadric_inscribable,
-                            enumerate_simple_circuits, parse_angle_assignment,
-                            solve_max_margin, verify_angle_assignment,
-                            verify_dual_witness)
+from polyscribe.corpus import CORPUS_NAMES, named_polytope, prism, stack_on_face
+from polyscribe.hrs import (MarginSystem, _min_nonfacial_circuit,
+                            decide_circumscribable, decide_inscribable,
+                            decide_quadric_inscribable, enumerate_simple_circuits,
+                            parse_angle_assignment, solve_max_margin,
+                            verify_angle_assignment, verify_dual_witness)
 from polyscribe.maps import dual_map
+from polyscribe.rationals import parse_rational
 from polyscribe.verdicts import Answer, CertKind
 
 
@@ -114,12 +115,91 @@ def test_duality_consistency():
             == decide_circumscribable(dual_map(m)).answer
 
 
-def test_lazy_mode_agrees():
-    # tiny cycle budget forces the separation-oracle path
-    for name in ("cube", "truncated-tetrahedron", "cuboctahedron"):
-        m = named_polytope(name)
-        assert decide_circumscribable(m, cycle_budget=5).answer \
-            == decide_circumscribable(m).answer
+def _stacked(name, *faces):
+    m = named_polytope(name) if isinstance(name, str) else name
+    for f in faces:
+        m = stack_on_face(m, f)
+    return m
+
+
+# Maps small enough to enumerate every simple circuit: the corpus, prism(9)
+# and stackings on several bases, each also dualized.
+_BUILT = {
+    "prism(9)": lambda: prism(9),
+    "stack(cube)": lambda: _stacked("cube", 0),
+    "stack(octahedron)": lambda: _stacked("octahedron", 0),
+    "stack(octahedron,x2)": lambda: _stacked("octahedron", 0, 8),
+    "stack(prism(5))": lambda: _stacked(prism(5), 0),
+    "stack(prism(6),square)": lambda: _stacked(prism(6), 2),
+    "stack(truncated-tetrahedron,hexagon)": lambda: _stacked(
+        "truncated-tetrahedron", next(i for i, f in enumerate(
+            named_polytope("truncated-tetrahedron").faces) if len(f) == 6)),
+    "stack(triakis-tetrahedron)": lambda: _stacked("triakis-tetrahedron", 0),
+}
+REFERENCE_MAPS = {**{n: (lambda n=n: named_polytope(n)) for n in CORPUS_NAMES}, **_BUILT}
+REFERENCE_MAPS.update({f"dual({n})": (lambda f=f: dual_map(f()))
+                       for n, f in list(REFERENCE_MAPS.items())})
+
+
+def _enumerated_min(circuits, w):
+    return min(sum((w[e] for e in c.edges), F(0)) for c in circuits if not c.facial)
+
+
+def _oracle_agrees(m, circuits, w):
+    assert _min_nonfacial_circuit(m, w)[1] == _enumerated_min(circuits, w)
+    assert verify_angle_assignment(m, w) == verify_angle_assignment(m, w, circuits)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MAPS))
+def test_decision_matches_full_enumeration(name):
+    """The oracle's cutting planes against solve_max_margin over every
+    enumerated circuit: a YES has the full t* and weights that pass the
+    enumerated check; a NO has full t* <= relaxed t* <= 0, or both systems
+    are infeasible."""
+    m = REFERENCE_MAPS[name]()
+    circuits = enumerate_simple_circuits(m)
+    full = solve_max_margin(MarginSystem.from_map(m), circuits)
+    v = decide_circumscribable(m)
+    cert = v.certificates[0]
+    if v.answer is Answer.YES:
+        assert full.status == "optimal" and full.t_star > 0
+        assert parse_rational(cert.data["margin"]) == full.t_star
+        w = parse_angle_assignment(cert)
+        assert verify_angle_assignment(m, w, circuits)
+        _oracle_agrees(m, circuits, w)
+        tampered = dict(w)
+        tampered[min(w)] += F(1, 1000)
+        _oracle_agrees(m, circuits, tampered)
+    else:
+        assert v.answer is Answer.NO and verify_dual_witness(m, cert)
+        if cert.data["t_star"] is None:
+            assert full.status == "infeasible"
+        else:
+            assert full.status == "optimal"
+            assert full.t_star <= parse_rational(cert.data["t_star"]) <= 0
+    # positive weights with no structure, so face sums do not decide
+    w = {e: F(1 + i % 5, 7) for i, e in enumerate(sorted(MarginSystem.from_map(m).edges))}
+    _oracle_agrees(m, circuits, w)
+
+
+def test_oracle_verify_rejects_short_nonfacial_circuit():
+    # faces-and-box optimum of the triakis tetrahedron: facial sums are 2 and
+    # every weight lies in (0,1), but a non-facial circuit sums to at most 2
+    m = named_polytope("triakis-tetrahedron")
+    circuits = enumerate_simple_circuits(m)
+    w = solve_max_margin(MarginSystem.from_map(m), []).weights
+    assert all(0 < x < 1 for x in w.values())
+    assert _enumerated_min(circuits, w) <= 2
+    assert not verify_angle_assignment(m, w)
+    assert not verify_angle_assignment(m, w, circuits)
+
+
+def test_oracle_needs_positive_weights():
+    m = named_polytope("tetrahedron")
+    w = {tuple(sorted(e)): F(2, 3) for e in m.edges}
+    w[min(w)] = F(0)
+    with pytest.raises(ValueError):
+        _min_nonfacial_circuit(m, w)
 
 
 def test_quadric():

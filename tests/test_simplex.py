@@ -36,6 +36,15 @@ def test_equality_and_ge():
     assert verify_dual_bound(lp, res.duals, F(6))
 
 
+def test_add_row_rejects_bad_relation_and_length():
+    lp = LinearProgram(2, [F(1), F(1)])
+    with pytest.raises(ValueError):
+        lp.add_row([1, 2], "<", 4)
+    with pytest.raises(ValueError):
+        lp.add_row([1, 2, 3], LE, 4)
+    assert lp.rows == []
+
+
 def test_unbounded():
     res = solve_lp(_lp(2, [1, 0], [([0, 1], LE, 1)]))
     assert res.status == "unbounded"
