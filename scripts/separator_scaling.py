@@ -27,8 +27,7 @@ def main():
     print(f"{'n':>6} {'median':>8} {'mean':>8} {'min':>5} {'median/sqrt(n)':>15}")
     for n in args.sizes:
         cs = near_uniform_system(n, seed=1)
-        rep = random_hyperplane_separator(cs, trials=args.trials,
-                                          seed=args.seed, parallel=True)
+        rep = random_hyperplane_separator(cs, trials=args.trials, seed=args.seed)
         med = float(rep.median_hits)
         rows.append((n, med))
         print(f"{n:>6} {med:>8.1f} {float(rep.mean_hits):>8.2f} "

@@ -2,8 +2,8 @@
 sphere-scribedness of realizations, and spherical cap/separator experiments."""
 
 from .errors import (BudgetExceeded, DegenerateConfiguration, DegenerateSpan,
-                     InfeasibleSupport, MapValidationError, MonteCarloOnly,
-                     ParseError, PointInsideBall, PolyscribeError)
+                     MapValidationError, MonteCarloOnly, ParseError,
+                     PointInsideBall, PolyscribeError)
 from .maps import (CombinatorialMap, dual_map, maps_isomorphic, parse_map_json,
                    serialize_map_json, validate_map)
 from .corpus import CORPUS_NAMES, full_corpus, named_coordinates, named_polytope

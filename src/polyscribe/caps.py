@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd
@@ -37,7 +36,8 @@ from .rationals import format_rational, format_vector, parse_rational, parse_vec
 
 def _plus_sqrt_nonneg(r: Fraction, s: Fraction, rho: Fraction) -> bool:
     """Exact test of r + s*sqrt(rho) >= 0 for rationals with rho >= 0."""
-    assert rho >= 0
+    if rho < 0:
+        raise ValueError(f"square root of negative {rho}")
     if s == 0 or rho == 0:
         return r >= 0
     if r >= 0 and s > 0:
@@ -401,23 +401,16 @@ def hyperplane_hits(cs: CapSystem, u) -> list[int]:
     return out
 
 
-def random_hyperplane_separator(cs: CapSystem, trials: int, seed: int,
-                                parallel: bool = False) -> SeparatorReport:
+def random_hyperplane_separator(cs: CapSystem, trials: int,
+                                seed: int) -> SeparatorReport:
     """Sample random hyperplanes through the origin; hit decisions are exact
     for each sampled (dyadic-rationalized) normal.  Each trial's generator is
-    keyed by (seed, trial), so parallel and serial runs agree."""
-    assert trials >= 1
+    keyed by (seed, trial), so a trial's hits do not depend on the others."""
+    if trials < 1:
+        raise ParseError(f"need at least one trial, got {trials}")
     g = cap_intersection_graph(cs)
-
-    def run(trial: int):
-        u = _trial_normal(seed, trial, cs.dimension)
-        return hyperplane_hits(cs, u)
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            all_hits = list(pool.map(run, range(trials)))
-    else:
-        all_hits = [run(t) for t in range(trials)]
+    all_hits = [hyperplane_hits(cs, _trial_normal(seed, t, cs.dimension))
+                for t in range(trials)]
     counts = [len(h) for h in all_hits]
     best = min(range(trials), key=lambda t: (counts[t], t))
     h = g.copy()

@@ -123,11 +123,15 @@ def _run_analysis(m, path_text, path, budget_subsets,
         add("facet paint test", "UNKNOWN", str(exc))
 
     # Toughness and supertoughness enumerate vertex subsets, so they keep
-    # their own smaller budget rather than --budget-subsets.
+    # their own smaller budget rather than --budget-subsets.  The
+    # supertoughness result is kept for the simple-polytope characterization.
+    supertough = None
     for name, fn in (("1-tough", graphs.is_one_tough),
                      ("1-supertough", graphs.is_one_supertough)):
         try:
             ok, cert = fn(g, graphs.DEFAULT_TOUGHNESS_BUDGET)
+            if name == "1-supertough":
+                supertough = ok, cert
             if ok:
                 add(name, "PASS", f"graph is {name}")
             else:
@@ -148,7 +152,7 @@ def _run_analysis(m, path_text, path, budget_subsets,
 
     try:
         simple = graphs.simple_polytope_characterization(
-            m, graphs.DEFAULT_TOUGHNESS_BUDGET)
+            m, graphs.DEFAULT_TOUGHNESS_BUDGET, supertough=supertough)
         if simple is None:
             add("simple-polytope characterization", "SKIP", "map is not simple")
         else:
@@ -377,8 +381,7 @@ def cmd_caps(args) -> int:
 def cmd_separator(args) -> int:
     text = _read(args.capfile)
     cs = caps_mod.parse_caps_json(text)
-    rep = caps_mod.random_hyperplane_separator(cs, args.trials, args.seed,
-                                               parallel=args.parallel)
+    rep = caps_mod.random_hyperplane_separator(cs, args.trials, args.seed)
     if args.json:
         data = json.loads(rep.to_json())
         data["schema"] = SCHEMA
@@ -407,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
                             default=d(graphs.DEFAULT_INDEP_BUDGET),
                             help="vertex budget for subset searches")
         parser.add_argument("--seed", type=int, default=d(0))
-        parser.add_argument("--parallel", action="store_true", default=d(False))
 
     common = argparse.ArgumentParser(add_help=False)
     global_flags(common, suppress=True)

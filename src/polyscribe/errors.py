@@ -56,10 +56,6 @@ class DegenerateSpan(PolyscribeError):
     """Point configuration does not affinely span the stated dimension."""
 
 
-class InfeasibleSupport(PolyscribeError):
-    """No supporting hyperplane leaves the polytope and the ball on one side."""
-
-
 class PointInsideBall(PolyscribeError):
     """Visibility cap requested for a point not strictly outside the unit ball."""
 

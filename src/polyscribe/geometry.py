@@ -1,9 +1,14 @@
 """Exact geometric checks on realizations: sphere incidence, cut/avoid/tangent
 tests, (i,j)- and k-scribedness, inscribed cyclic constructions, k-sets.
 
-All minimum-norm and supporting-hyperplane subproblems are solved by
-exhaustive active-set enumeration with exact rational linear solves; face
-vertex counts are small, correctness is paramount.
+Every face question goes through one kernel, the point of an affine hull
+nearest the sphere center, found by an exact rational linear solve.  The
+minimum norm over a face enumerates the supports of that point among the
+face's vertices.  Avoidance enumerates active sets of other vertices: the
+least-norm normal of a hyperplane through the face and an active set is the
+nearest point scaled by the inverse of its squared norm.  When no hyperplane
+through the face has the polytope on the center's side, the face does not
+avoid the ball.  Face vertex counts are small; correctness is paramount.
 """
 
 from __future__ import annotations
@@ -13,9 +18,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetExceeded, InfeasibleSupport, ParseError
-from .hull import FaceLattice, build_face_lattice, enumerate_facets
-from .linalg import dot, norm_sq, solve_linear, vsub
+from .errors import BudgetExceeded, ParseError
+from .hull import DEFAULT_MAX_DIM, DEFAULT_MAX_POINTS, FaceLattice, enumerate_facets
+from .linalg import affine_rank, dot, norm_sq, solve_linear, vsub
 from .points import PointConfiguration, SphereRef
 from .rationals import format_rational
 from .simplex import GE, LE, EQ, LinearProgram, solve_lp
@@ -62,6 +67,8 @@ def min_norm_sq_over_face(pc: PointConfiguration, face, s: SphereRef,
     """Exact minimum of ||x - center||^2 over conv(face vertices), plus
     whether some minimizer lies in the relative interior of the face."""
     face = sorted(face)
+    if not face:
+        raise ValueError("a face needs at least one vertex")
     if len(face) > budget:
         raise BudgetExceeded("active-set enumeration", len(face), budget)
     verts = [pc.points[i] for i in face]
@@ -77,7 +84,6 @@ def min_norm_sq_over_face(pc: PointConfiguration, face, s: SphereRef,
                 continue
             if best is None or val < best[1]:
                 best = (x, val)
-    assert best is not None
     x_star, value = best
     location = RELATIVE_INTERIOR if _in_relative_interior(verts, x_star) \
         else RELATIVE_BOUNDARY
@@ -102,76 +108,67 @@ def _in_relative_interior(verts, x) -> bool:
     return res.status == "optimal" and res.objective > 0
 
 
+def _cuts(value, location, s: SphereRef) -> bool:
+    """Cut rule: the minimum norm is below the radius, or equal with a
+    relative-interior minimizer.  The points of the face strictly inside the
+    ball form a relatively open set, so when nonempty they meet the relative
+    interior."""
+    return value < s.radius_squared or (value == s.radius_squared
+                                        and location == RELATIVE_INTERIOR)
+
+
+def _tangent(avoids: bool, value, s: SphereRef) -> bool:
+    """Tangent rule: the face avoids the ball and touches the sphere."""
+    return avoids and value == s.radius_squared
+
+
 def face_cuts(pc: PointConfiguration, face, s: SphereRef,
               budget: int = DEFAULT_ACTIVE_SET_BUDGET) -> bool:
-    """Does the face have a point of the closed ball in its relative interior?
-
-    True iff the minimum norm is below the radius, or equal with a
-    relative-interior minimizer: the points of the face strictly inside the
-    ball form a relatively open set, so when nonempty they meet the relative
-    interior.
-    """
-    value, location = min_norm_sq_over_face(pc, face, s, budget)
-    if value < s.radius_squared:
-        return True
-    return value == s.radius_squared and location == RELATIVE_INTERIOR
+    """Does the face have a point of the closed ball in its relative interior?"""
+    return _cuts(*min_norm_sq_over_face(pc, face, s, budget), s)
 
 
-def face_avoids(pc: PointConfiguration, face, s: SphereRef,
-                budget: int = DEFAULT_ACTIVE_SET_BUDGET) -> bool:
+def face_avoids(pc: PointConfiguration, face, s: SphereRef) -> bool:
     """Is there a hyperplane supporting the face with the whole polytope and
     the ball in one closed halfspace?
 
-    After recentering to the sphere center, hyperplanes are normalized to
-    <a, x> = 1 (hyperplanes through the center can never leave the ball on
-    one side, so the normalization loses nothing).  The face rows force
-    a != 0.  Avoidance holds iff min ||a||^2 over the constraint system is
-    at most 1/radius_squared.
+    After recentering to the sphere center, such a hyperplane is
+    <a, x> = 1 with the polytope on the <= 1 side: a hyperplane through the
+    center never has the ball on one side, and one with the polytope on the
+    >= 1 side has the center strictly on the other.  The optimal a has the
+    least norm among normals through the face and some active set W of
+    other vertices; that a is x / ||x||^2 for x the point of aff(face + W)
+    nearest the center, and none exists when x is the center.  A candidate
+    depends only on the affine hull, so active sets beyond d - 1 - dim(face)
+    vertices add nothing.  The face avoids the ball iff some feasible
+    candidate has ||x||^2 >= radius_squared; with no feasible candidate the
+    polytope is never on the center's side, and the answer is NO.
     """
     face = sorted(face)
     others = [i for i in range(pc.n_points) if i not in face]
     if len(others) > 2 * DEFAULT_KSET_MAX_POINTS:
         raise BudgetExceeded("active-set enumeration", len(others), 2 * DEFAULT_KSET_MAX_POINTS)
-    eq = [vsub(pc.points[i], s.center) for i in face]
     ineq = [vsub(pc.points[i], s.center) for i in others]
-    d = pc.dimension
+    free = pc.dimension - affine_rank([pc.points[i] for i in face])
     best = None
-    for r in range(len(ineq) + 1):
-        for active in combinations(range(len(ineq)), r):
-            rows = eq + [ineq[i] for i in active]
-            # KKT: 2a = B^T mu, B a = 1.  Unknowns a (d) and mu (len(rows)).
-            m = len(rows)
-            sys_rows = []
-            rhs = []
-            for j in range(d):
-                sys_rows.append(
-                    [Fraction(2) if jj == j else Fraction(0) for jj in range(d)]
-                    + [-rows[i][j] for i in range(m)])
-                rhs.append(Fraction(0))
-            for row in rows:
-                sys_rows.append(list(row) + [Fraction(0)] * m)
-                rhs.append(Fraction(1))
-            sol = solve_linear(sys_rows, rhs)
-            if sol is None:
+    for r in range(free):
+        for active in combinations(others, r):
+            cand = _min_norm_candidate(pc.points, s.center, face + list(active))
+            if cand is None or cand[2] == 0:
                 continue
-            a = sol[:d]
-            if any(dot(a, u) > 1 for u in ineq):
+            _, x, value = cand
+            normal = vsub(x, s.center)
+            if any(dot(normal, u) > value for u in ineq):
                 continue
-            val = norm_sq(a)
-            if best is None or val < best:
-                best = val
-    if best is None:
-        raise InfeasibleSupport(f"face {face} admits no supporting hyperplane "
-                                "containing the polytope in a halfspace")
-    return best * s.radius_squared <= 1
+            if best is None or value > best:
+                best = value
+    return best is not None and best >= s.radius_squared
 
 
 def face_tangent(pc: PointConfiguration, face, s: SphereRef,
                  budget: int = DEFAULT_ACTIVE_SET_BUDGET) -> bool:
-    if not face_avoids(pc, face, s, budget):
-        return False
     value, _ = min_norm_sq_over_face(pc, face, s, budget)
-    return value == s.radius_squared
+    return _tangent(face_avoids(pc, face, s), value, s)
 
 
 # ------------------------------------------------------------------ scribedness
@@ -189,11 +186,9 @@ class ScribeReport:
 
 def _face_status(pc, face, s, budget):
     value, location = min_norm_sq_over_face(pc, face, s, budget)
-    avoids = face_avoids(pc, face, s, budget)
-    cuts = value < s.radius_squared or (value == s.radius_squared
-                                        and location == RELATIVE_INTERIOR)
-    tangent = avoids and value == s.radius_squared
-    return {"face": sorted(face), "cuts": cuts, "avoids": avoids, "tangent": tangent,
+    avoids = face_avoids(pc, face, s)
+    return {"face": sorted(face), "cuts": _cuts(value, location, s),
+            "avoids": avoids, "tangent": _tangent(avoids, value, s),
             "min_norm_sq": format_rational(value), "minimizer": location}
 
 
@@ -235,7 +230,8 @@ def check_k_scribed(pc: PointConfiguration, lattice: FaceLattice, s: SphereRef,
 
 
 def verify_face_lattice(pc: PointConfiguration, claimed_facets,
-                        max_points: int = 12, max_dim: int = 7):
+                        max_points: int = DEFAULT_MAX_POINTS,
+                        max_dim: int = DEFAULT_MAX_DIM):
     """True iff the claimed facets are exactly the computed ones; on failure
     returns (False, first offending facet)."""
     computed = {frozenset(f) for f in enumerate_facets(pc, max_points, max_dim)}
@@ -297,9 +293,10 @@ def generate_cyclic_moment(n: int, d: int, params=None) -> PointConfiguration:
 
 # -------------------------------------------------------------------- k-sets
 
-def _separation_margin(pc: PointConfiguration, subset) -> Fraction:
-    """Optimal margin of strict separation of the subset from the rest, with
-    the normal box-normalized; positive iff strictly separable."""
+def _separation_lp(pc: PointConfiguration, subset, inside_relation, inside_t):
+    """Maximize t over box-normalized hyperplanes <a, x> = b with
+    <a, p> - b + inside_t * t (inside_relation) 0 on the subset and
+    b - <a, p> >= t off it."""
     d = pc.dimension
     inside = sorted(subset)
     outside = [i for i in range(pc.n_points) if i not in subset]
@@ -311,8 +308,8 @@ def _separation_margin(pc: PointConfiguration, subset) -> Fraction:
     lp = LinearProgram(nv, obj)
     for i in inside:
         p = pc.points[i]
-        row = list(p) + [-c for c in p] + [Fraction(-1), Fraction(1), Fraction(-1)]
-        lp.add_row(row, GE, Fraction(0))
+        row = list(p) + [-c for c in p] + [Fraction(-1), Fraction(1), inside_t]
+        lp.add_row(row, inside_relation, Fraction(0))
     for i in outside:
         p = pc.points[i]
         row = [-c for c in p] + list(p) + [Fraction(1), Fraction(-1), Fraction(-1)]
@@ -325,8 +322,15 @@ def _separation_margin(pc: PointConfiguration, subset) -> Fraction:
         row = [Fraction(0)] * nv
         row[k] = Fraction(1)
         lp.add_row(row, LE, Fraction(bound))
-    res = solve_lp(lp)
-    assert res.status == "optimal"
+    return solve_lp(lp)
+
+
+def _separation_margin(pc: PointConfiguration, subset) -> Fraction:
+    """Optimal margin of strict separation of the subset from the rest, with
+    the normal box-normalized; positive iff strictly separable."""
+    res = _separation_lp(pc, subset, GE, Fraction(-1))
+    if res.status != "optimal":  # a = b = t = 0 is feasible and t is bounded
+        raise RuntimeError(f"separation LP ended {res.status}")
     return res.objective
 
 
@@ -349,34 +353,5 @@ def k_sets(pc: PointConfiguration, k: int,
 def is_face(pc: PointConfiguration, subset) -> bool:
     """Supporting-hyperplane test: the subset is (contained in) a proper face
     iff some hyperplane touches exactly on one side with positive margin."""
-    d = pc.dimension
-    inside = sorted(subset)
-    outside = [i for i in range(pc.n_points) if i not in subset]
-    bound = 1 + max(sum(abs(c) for c in p) for p in pc.points)
-    nv = 2 * d + 3
-    obj = [Fraction(0)] * nv
-    obj[-1] = Fraction(1)
-    lp = LinearProgram(nv, obj)
-    for i in inside:
-        p = pc.points[i]
-        row = list(p) + [-c for c in p] + [Fraction(-1), Fraction(1), Fraction(0)]
-        lp.add_row(row, EQ, Fraction(0))
-    for i in outside:
-        p = pc.points[i]
-        row = [-c for c in p] + list(p) + [Fraction(1), Fraction(-1), Fraction(-1)]
-        lp.add_row(row, GE, Fraction(0))
-    for k_ in range(2 * d):
-        row = [Fraction(0)] * nv
-        row[k_] = Fraction(1)
-        lp.add_row(row, LE, Fraction(1))
-    for k_ in (2 * d, 2 * d + 1):
-        row = [Fraction(0)] * nv
-        row[k_] = Fraction(1)
-        lp.add_row(row, LE, Fraction(bound))
-    res = solve_lp(lp)
+    res = _separation_lp(pc, subset, EQ, Fraction(0))
     return res.status == "optimal" and res.objective > 0
-
-
-def build_lattice(pc: PointConfiguration, max_points: int = 12,
-                  max_dim: int = 7) -> FaceLattice:
-    return build_face_lattice(pc, max_points, max_dim)

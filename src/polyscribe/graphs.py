@@ -99,9 +99,10 @@ def steinitz_paint_test(m: CombinatorialMap,
         return None
     black = set(cert.data["independent_set"])
     white = set(dg.nodes) - black
-    if 2 * len(black) == dg.number_of_nodes():
-        assert any(dg.has_edge(u, v) for u in white for v in white if u < v), \
-            "half-size independent set in non-bipartite graph must leave a white-white edge"
+    if 2 * len(black) == dg.number_of_nodes() and not any(
+            dg.has_edge(u, v) for u in white for v in white if u < v):
+        raise RuntimeError("half-size independent set in a non-bipartite graph "
+                           "left no white-white edge")
     return Certificate(
         CertKind.PAINT_OBSTRUCTION,
         {"independent_set": sorted(black), "white_facets": sorted(white),
@@ -271,10 +272,13 @@ def hamiltonian_certificate(cycle) -> Certificate:
 # ---------------------------------------------------------------- simple polytopes
 
 def simple_polytope_characterization(m: CombinatorialMap,
-                                     budget: int = DEFAULT_TOUGHNESS_BUDGET) -> Verdict | None:
+                                     budget: int = DEFAULT_TOUGHNESS_BUDGET, *,
+                                     supertough=None) -> Verdict | None:
     """Exact inscribability for simple 3-polytopes (all degrees 3): the graph
     must be bipartite with a 4-connected dual, or 1-supertough.  Returns None
-    when the map is not simple."""
+    when the map is not simple.  A caller that already holds
+    is_one_supertough(m.graph(), budget) passes it as supertough so the
+    subsets are not enumerated again."""
     g = m.graph()
     if any(d != 3 for _, d in g.degree):
         return None
@@ -291,7 +295,7 @@ def simple_polytope_characterization(m: CombinatorialMap,
             certs.append(cut_cert)
             return Verdict(Answer.YES, tuple(certs),
                            "simple, bipartite with 4-connected dual: inscribable")
-    ok, viol = is_one_supertough(g, budget)
+    ok, viol = supertough if supertough is not None else is_one_supertough(g, budget)
     if ok:
         return Verdict(Answer.YES, tuple(certs), "simple and 1-supertough: inscribable")
     certs.append(viol)

@@ -121,7 +121,7 @@ def test_separator_single_cap_oracle():
 def test_separator_hits_are_reproducible():
     cs = _octa_system()
     a = random_hyperplane_separator(cs, trials=30, seed=9)
-    b = random_hyperplane_separator(cs, trials=30, seed=9, parallel=True)
+    b = random_hyperplane_separator(cs, trials=30, seed=9)
     assert a.hit_counts == b.hit_counts and a.best_hits == b.best_hits
     c = random_hyperplane_separator(cs, trials=30, seed=10)
     assert a.hit_counts != c.hit_counts

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from polyscribe import hrs
+from polyscribe import graphs, hrs
 from polyscribe.cli import main
+from polyscribe.caps import random_visibility_system, serialize_caps_json
 from polyscribe.corpus import named_polytope, prism
 from polyscribe.maps import serialize_map_json
 
@@ -51,6 +52,23 @@ def test_analyze_decides_inscribability_once(mapfile, capsys, monkeypatch):
     rc, out = run(capsys, "analyze", mapfile("cube"), "--json")
     assert rc == 0 and json.loads(out)["verdicts"]["hyperboloid"] == "YES"
     assert len(calls) == 1
+
+
+def test_analyze_decides_supertoughness_once(mapfile, capsys, monkeypatch):
+    # the truncated tetrahedron is simple and not bipartite, so the
+    # simple-polytope characterization needs the supertoughness answer
+    calls = []
+    supertough = graphs.is_one_supertough
+
+    def counted(g, budget):
+        calls.append(g)
+        return supertough(g, budget)
+    monkeypatch.setattr(graphs, "is_one_supertough", counted)
+    rc, out = run(capsys, "analyze", mapfile("truncated-tetrahedron"), "--json")
+    assert rc == 0 and len(calls) == 1
+    outcomes = {t["name"]: t["outcome"] for t in json.loads(out)["tests"]}
+    assert outcomes["1-supertough"] == "PASS"
+    assert outcomes["simple-polytope characterization"] == "YES"
 
 
 def test_analyze_prism_15_toughness_unknown(tmp_path, capsys):
@@ -131,3 +149,24 @@ def test_caps_and_separator(tmp_path, capsys):
     rc3, out3 = run(capsys, "separator", str(capsfile), "--trials", "20",
                     "--seed", "4", "--json")
     assert json.loads(out3)["hit_counts"] != json.loads(out1)["hit_counts"]
+
+
+def test_separator_rejects_zero_trials(tmp_path, capsys):
+    capsfile = tmp_path / "caps.json"
+    capsfile.write_text(serialize_caps_json(random_visibility_system(4, seed=1)))
+    rc = main(["separator", str(capsfile), "--trials", "0"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err.startswith("error:")
+
+
+def test_scribe_facets_of_cyclic_polytope(tmp_path, capsys):
+    # the default C_4(6) has facets whose supporting hyperplanes all have
+    # the center on the far side: every facet cuts and none avoids
+    pts = tmp_path / "c6.json"
+    assert run(capsys, "generate", "--family", "cyclic-trig", "--n", "6",
+               "--d", "4", "-o", str(pts))[0] == 0
+    rc, out = run(capsys, "scribe", str(pts), "--k", "3", "--json")
+    rep = json.loads(out)
+    assert rc == 0 and rep["holds"] is False and len(rep["faces"]) == 9
+    for face in rep["faces"]:
+        assert (face["cuts"], face["avoids"], face["tangent"]) == (True, False, False)

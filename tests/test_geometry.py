@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -12,7 +13,9 @@ from polyscribe.geometry import (RELATIVE_BOUNDARY, RELATIVE_INTERIOR,
                                  generate_cyclic_trig, is_face, k_sets,
                                  min_norm_sq_over_face, on_sphere_check,
                                  verify_face_lattice)
+from polyscribe.errors import DegenerateSpan
 from polyscribe.hull import build_face_lattice, enumerate_facets
+from polyscribe.linalg import dot, norm_sq, solve_linear, vsub
 from polyscribe.points import PointConfiguration, SphereRef
 
 
@@ -51,6 +54,89 @@ def test_cuts_avoids_tangent(tetra_points):
     assert face_tangent(tetra_points, [0, 1], mid)   # edges touch the midsphere
     assert face_avoids(tetra_points, [0], mid)
     assert not face_cuts(tetra_points, [0], mid)
+
+
+def kkt_face_avoids(pc, face, s):
+    """Reference: min ||a||^2 over <a, x - c> = 1 on the face and <= 1 on the
+    other vertices, by solving the (d + m) x (d + m) KKT system 2a = B^T mu,
+    B a = 1 for every active set.  None when no active set is feasible."""
+    others = [i for i in range(pc.n_points) if i not in face]
+    eq = [vsub(pc.points[i], s.center) for i in face]
+    ineq = [vsub(pc.points[i], s.center) for i in others]
+    d = pc.dimension
+    best = None
+    for r in range(len(ineq) + 1):
+        for active in combinations(range(len(ineq)), r):
+            rows = eq + [ineq[i] for i in active]
+            m = len(rows)
+            sys_rows = [[F(2) if jj == j else F(0) for jj in range(d)]
+                        + [-rows[i][j] for i in range(m)] for j in range(d)]
+            sys_rows += [list(row) + [F(0)] * m for row in rows]
+            sol = solve_linear(sys_rows, [F(0)] * d + [F(1)] * m)
+            if sol is None:
+                continue
+            a = sol[:d]
+            if any(dot(a, u) > 1 for u in ineq):
+                continue
+            if best is None or norm_sq(a) < best:
+                best = norm_sq(a)
+    return None if best is None else best * s.radius_squared <= 1
+
+
+def seeded_params(n, seed):
+    rng = random.Random(seed)
+    params = set()
+    while len(params) < n:
+        params.add(F(rng.randint(-40, 40), rng.randint(1, 10)))
+    return sorted(params)
+
+
+def random_3d_configuration(seed):
+    """Seven integer points with an off-centre sphere, or None if flat."""
+    rng = random.Random(seed)
+    pts = tuple(tuple(F(rng.randint(-4, 4)) for _ in range(3)) for _ in range(7))
+    center = tuple(F(rng.randint(-6, 6), 2) for _ in range(3))
+    return PointConfiguration(3, pts, SphereRef(center, F(rng.randint(1, 12), 2)))
+
+
+def differential_cases():
+    configs = [generate_cyclic_trig(n, 4) for n in (5, 6, 7)]
+    configs += [generate_cyclic_trig(5, 4, seeded_params(5, seed)) for seed in (1, 2, 3)]
+    configs += [random_3d_configuration(seed) for seed in range(6)]
+    for pc in configs:
+        try:
+            lattice = build_face_lattice(pc)
+        except DegenerateSpan:
+            continue
+        for rank in range(pc.dimension):
+            for face in lattice.faces_of_rank(rank):
+                yield pc, sorted(face)
+
+
+def test_face_avoids_matches_kkt_reference():
+    outcomes = {True: 0, False: 0, None: 0}
+    for pc, face in differential_cases():
+        want = kkt_face_avoids(pc, face, pc.sphere)
+        outcomes[want] += 1
+        # no supporting hyperplane with the polytope on the center's side:
+        # the face does not avoid the ball
+        assert face_avoids(pc, face, pc.sphere) is bool(want), (pc.points, face)
+    assert all(outcomes.values()), outcomes
+
+
+def test_face_avoids_with_center_outside():
+    # a unit square beside the ball: the lines of the top and far edges have
+    # the square and the ball on one side; the line of the near edge has the
+    # square on the side away from the center, and that of the bottom edge
+    # runs through the center, so neither of those two edges avoids
+    pts = ((F(2), F(0)), (F(3), F(0)), (F(2), F(1)), (F(3), F(1)))
+    pc = PointConfiguration(2, pts)
+    s = SphereRef((F(0), F(0)), F(1))
+    assert face_avoids(pc, [2, 3], s) and face_avoids(pc, [1, 3], s)
+    assert not face_avoids(pc, [0, 2], s)
+    assert not face_avoids(pc, [0, 1], s)
+    assert not face_tangent(pc, [0, 2], s)
+    assert not face_cuts(pc, [0, 2], s)
 
 
 def test_k_scribed_cube(cube_points):
