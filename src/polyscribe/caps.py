@@ -8,9 +8,10 @@ Caps come in two exact representations sharing one membership semantics
 - "halfspace": a rational axis w and rational offset b, the cap
   {x : <w, x> >= b}, whose cosine b/||w|| need not be rational.
 
-Every decision below only needs the cosine's sign and square, both rational
-in either mode, so all comparisons reduce to exact sign tests on
-expressions of the form r + s*sqrt(rho).
+Either way a cap is held in one form: the squared axis norm N, and the sign
+s and square q of its cosine, all rational.  Every predicate below is the
+exact sign of r + a*sqrt(x) + b*sqrt(y) for rationals r, a, b and x, y >= 0,
+decided by one kernel, `_sign`.
 """
 
 from __future__ import annotations
@@ -34,90 +35,87 @@ from .rationals import format_rational, format_vector, parse_rational, parse_vec
 
 # ----------------------------------------------------------- exact sqrt signs
 
-def _plus_sqrt_nonneg(r: Fraction, s: Fraction, rho: Fraction) -> bool:
-    """Exact test of r + s*sqrt(rho) >= 0 for rationals with rho >= 0."""
-    if rho < 0:
-        raise ValueError(f"square root of negative {rho}")
-    if s == 0 or rho == 0:
-        return r >= 0
-    if r >= 0 and s > 0:
-        return True
-    if r < 0 and s < 0:
-        return False
-    if s < 0:  # r >= 0: compare r >= |s| sqrt(rho)
-        return r * r >= s * s * rho
-    return s * s * rho >= r * r  # s > 0 > r
+def _sign_root(r, a, x) -> int:
+    """Exact sign of r + a*sqrt(x) for rationals with x >= 0."""
+    if x < 0:
+        raise ValueError(f"square root of negative {x}")
+    sr = (r > 0) - (r < 0)
+    sa = (a > 0) - (a < 0) if x else 0
+    if sr == 0 or sa == 0 or sr == sa:
+        return sr or sa
+    # Opposite signs: the part with the larger square wins.
+    d = r * r - a * a * x
+    return sr * ((d > 0) - (d < 0))
 
 
-def _plus_sqrt_sign(r: Fraction, s: Fraction, rho: Fraction) -> int:
-    ge = _plus_sqrt_nonneg(r, s, rho)
-    le = _plus_sqrt_nonneg(-r, -s, rho)
-    if ge and le:
-        return 0
-    return 1 if ge else -1
+def _sign(r, a, x, b=0, y=0) -> int:
+    """Exact sign of r + a*sqrt(x) + b*sqrt(y) for rationals with x, y >= 0.
+
+    With A = r + a*sqrt(x) and B = b*sqrt(y) of opposite signs, A + B has
+    the sign of A times the sign of A^2 - B^2 = (r^2 + a^2 x - b^2 y)
+    + 2 r a sqrt(x), again a one-root sign.
+    """
+    if y < 0:
+        raise ValueError(f"square root of negative {y}")
+    sa = _sign_root(r, a, x)
+    sb = (b > 0) - (b < 0) if y else 0
+    if sa == 0 or sb == 0 or sa == sb:
+        return sa or sb
+    return sa * _sign_root(r * r + a * a * x - b * b * y, 2 * r * a, x)
 
 
 # ------------------------------------------------------------------- cap type
 
 @dataclass(frozen=True)
 class SphericalCap:
-    """axis + cos_radius (plain) or axis + offset (halfspace); see module doc."""
+    """axis + cos_radius (plain) or axis + offset (halfspace); see module doc.
+
+    norm_sq, cos_sign and cos_sq are the cap form every predicate reads; they
+    are set once at construction and take no part in equality."""
 
     axis: tuple[Fraction, ...]
     cos_radius: Fraction | None = None
     offset: Fraction | None = None
+    norm_sq: Fraction = field(init=False, compare=False, repr=False)
+    cos_sign: int = field(init=False, compare=False, repr=False)
+    cos_sq: Fraction = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if (self.cos_radius is None) == (self.offset is None):
             raise ParseError("cap needs exactly one of cos_radius, offset")
-        n2 = self.norm_sq
+        n2 = norm_sq(self.axis)
         if n2 == 0:
             raise ParseError("cap axis must be nonzero")
         # Proper cap: cosine in (-1, 1].
         if self.cos_radius is not None:
-            if not -1 < self.cos_radius <= 1:
+            c = self.cos_radius
+            if not -1 < c <= 1:
                 raise ParseError("cos_radius must lie in (-1, 1]")
+            q = c * c
         else:
-            b = self.offset
-            if b > 0 and b * b > n2:
+            c = self.offset
+            if c > 0 and c * c > n2:
                 raise ParseError("cap is empty: offset exceeds axis norm")
-            if b < 0 and b * b >= n2:
+            if c < 0 and c * c >= n2:
                 raise ParseError("cap is the whole sphere")
-
-    @property
-    def norm_sq(self) -> Fraction:
-        return norm_sq(self.axis)
-
-    @property
-    def cos_sign(self) -> int:
-        c = self.cos_radius if self.cos_radius is not None else self.offset
-        return (c > 0) - (c < 0)
-
-    @property
-    def cos_sq(self) -> Fraction:
-        if self.cos_radius is not None:
-            return self.cos_radius * self.cos_radius
-        return self.offset * self.offset / self.norm_sq
+            q = c * c / n2
+        object.__setattr__(self, "norm_sq", n2)
+        object.__setattr__(self, "cos_sign", (c > 0) - (c < 0))
+        object.__setattr__(self, "cos_sq", q)
 
     def boundary_plane(self):
         """(w, b) with the boundary circle on <w, x> = b, both rational, or
         None when the plane offset is irrational in this representation."""
-        if self.offset is not None:
-            return self.axis, self.offset
-        if self.cos_radius == 0:
-            return self.axis, Fraction(0)
-        n2 = self.norm_sq
-        root = _rational_sqrt(n2)
+        root = _rational_sqrt(self.cos_sq * self.norm_sq)
         if root is None:
             return None
-        return self.axis, self.cos_radius * root
+        return self.axis, self.cos_sign * root
 
     def contains(self, x) -> bool:
-        """Closed membership for a rational point x (any positive norm)."""
-        lhs = dot(self.axis, x)
-        if self.offset is not None:
-            return _plus_sqrt_nonneg(lhs, -self.offset, norm_sq(x))
-        return _plus_sqrt_nonneg(lhs, -self.cos_radius, self.norm_sq * norm_sq(x))
+        """Closed membership for a rational point x (any positive norm):
+        <axis, x> - s sqrt(q N ||x||^2) >= 0."""
+        return _sign(dot(self.axis, x), -self.cos_sign,
+                     self.cos_sq * self.norm_sq * norm_sq(x)) >= 0
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
@@ -134,7 +132,6 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 class CapSystem:
     dimension: int
     caps: tuple[SphericalCap, ...]
-    provenance: dict | None = None
     normalized: str | None = None
 
     def __post_init__(self):
@@ -159,9 +156,7 @@ def visibility_cap(v) -> SphericalCap:
 
 def visibility_system(pc: PointConfiguration) -> CapSystem:
     caps = tuple(visibility_cap(p) for p in pc.points)
-    return CapSystem(pc.dimension, caps,
-                     provenance={"source": "visibility",
-                                 "vertices": list(range(pc.n_points))})
+    return CapSystem(pc.dimension, caps)
 
 
 # -------------------------------------------------------- intersection graph
@@ -169,38 +164,20 @@ def visibility_system(pc: PointConfiguration) -> CapSystem:
 def _caps_overlap(ci: SphericalCap, cj: SphericalCap) -> bool:
     """Angular distance between axes <= sum of angular radii, exactly.
 
-    With cosines c_i (sign s_i, square q_i) and p = <a_i, a_j>: if
-    c_i + c_j <= 0 the radii sum to at least pi and the caps always meet;
-    otherwise the condition cos(dist) >= c_i c_j - s_i s_j becomes, after
-    scaling by ||a_i|| ||a_j||,
+    With cosines c_i = s_i sqrt(q_i), squared axis norms N_i and
+    p = <a_i, a_j>: if c_i + c_j <= 0 the radii sum to at least pi and the
+    caps always meet; otherwise the condition cos(dist) >= c_i c_j -
+    sin r_i sin r_j becomes, after scaling by ||a_i|| ||a_j||,
 
-        p + sqrt((1-q_i)(1-q_j) N_i N_j) - sign sqrt(q_i q_j N_i N_j) >= 0.
+        p + sqrt((1-q_i)(1-q_j) N_i N_j) - s_i s_j sqrt(q_i q_j N_i N_j) >= 0.
     """
-    ni, nj = ci.norm_sq, cj.norm_sq
     si, sj = ci.cos_sign, cj.cos_sign
     qi, qj = ci.cos_sq, cj.cos_sq
-    # c_i + c_j <= 0, i.e. -(s_i sqrt(q_i) + s_j sqrt(q_j)) >= 0.
-    if si <= 0 and sj <= 0:
+    if _sign(0, si, qi, sj, qj) <= 0:
         return True
-    if not (si >= 0 and sj >= 0):
-        # mixed signs: the nonpositive term wins iff its square is >=
-        neg_q, pos_q = (qi, qj) if si < 0 else (qj, qi)
-        if neg_q >= pos_q:
-            return True
-    p = dot(ci.axis, cj.axis)
-    alpha = (1 - qi) * (1 - qj) * ni * nj
-    beta = qi * qj * ni * nj
-    sign = si * sj
-    if sign <= 0:
-        if p >= 0:
-            return True
-        gap = p * p - alpha - sign * sign * beta
-        if gap <= 0:
-            return True
-        return 4 * sign * sign * alpha * beta >= gap * gap
-    if p >= 0:
-        return _plus_sqrt_nonneg(p * p + alpha - beta, 2 * p, alpha)
-    return _plus_sqrt_nonneg(alpha - beta - p * p, 2 * p, beta)
+    nn = ci.norm_sq * cj.norm_sq
+    return _sign(dot(ci.axis, cj.axis), 1, (1 - qi) * (1 - qj) * nn,
+                 -si * sj, qi * qj * nn) >= 0
 
 
 def cap_intersection_graph(cs: CapSystem) -> nx.Graph:
@@ -274,7 +251,7 @@ def ply_depth(cs: CapSystem):
         total = 0
         on_boundary = 0
         for k, (r, s, rho) in terms.items():
-            sg = _plus_sqrt_sign(r, s, rho)
+            sg = _sign(r, s, rho)
             if sg >= 0:
                 total += mult[k]
             if sg == 0:
@@ -445,7 +422,7 @@ def near_uniform_system(n: int, seed: int = 0) -> CapSystem:
         # modest denominators keep downstream exact arithmetic cheap
         axis = tuple(Fraction(float(c)).limit_denominator(10 ** 6) for c in v)
         caps.append(SphericalCap(axis=axis, cos_radius=cos_r))
-    return CapSystem(3, tuple(caps), provenance={"source": "near-uniform", "seed": seed})
+    return CapSystem(3, tuple(caps))
 
 
 def random_visibility_system(n: int, seed: int = 0, d: int = 3) -> CapSystem:
@@ -464,8 +441,7 @@ def random_visibility_system(n: int, seed: int = 0, d: int = 3) -> CapSystem:
         if norm_sq(v) <= 1:
             continue
         caps.append(visibility_cap(v))
-    return CapSystem(d, tuple(caps),
-                     provenance={"source": "random-visibility", "seed": seed})
+    return CapSystem(d, tuple(caps))
 
 
 # -------------------------------------------------------- centerpoint heuristic
@@ -502,8 +478,7 @@ def centerpoint_normalize(cs: CapSystem, iterations: int = 10,
         else:
             c = cap.offset / math.sqrt(float(cap.norm_sq))
             caps.append(SphericalCap(axis=axis, cos_radius=Fraction(float(c))))
-    return CapSystem(cs.dimension, tuple(caps), provenance=cs.provenance,
-                     normalized="heuristic")
+    return CapSystem(cs.dimension, tuple(caps), normalized="heuristic")
 
 
 # --------------------------------------------------------------------- JSON IO

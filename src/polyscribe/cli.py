@@ -292,15 +292,18 @@ def cmd_check(args) -> int:
         on = geometry.on_sphere_check(pc, pc.sphere)
         results["on_sphere"] = all(on)
         results["off_sphere_vertices"] = [i for i, b in enumerate(on) if not b]
+    facets = None
     if pc.claimed_faces is not None:
-        ok, bad = geometry.verify_face_lattice(pc, pc.claimed_faces)
+        facets = hull.enumerate_facets(pc)
+        ok, bad = geometry.match_facets(facets, pc.claimed_faces)
         results["claimed_facets_match"] = ok
         if not ok:
             results["first_mismatch"] = bad
     if args.map:
         m = maps.parse_map_json(_read(args.map))
-        facets = {frozenset(f) for f in hull.enumerate_facets(pc)}
-        results["map_facets_match"] = facets == set(m.face_sets())
+        if facets is None:
+            facets = hull.enumerate_facets(pc)
+        results["map_facets_match"] = set(facets) == m.face_sets()
     passed = all(v for k, v in results.items() if isinstance(v, bool))
     if args.json:
         sys.stdout.write(json.dumps(

@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import BudgetExceeded, ParseError
-from .hull import DEFAULT_MAX_DIM, DEFAULT_MAX_POINTS, FaceLattice, enumerate_facets
+from .hull import FaceLattice, enumerate_facets
 from .linalg import affine_rank, dot, norm_sq, solve_linear, vsub
 from .points import PointConfiguration, SphereRef
 from .rationals import format_rational
@@ -62,15 +62,14 @@ def _min_norm_candidate(verts, center, support):
     return lam, x, norm_sq(vsub(x, center))
 
 
-def min_norm_sq_over_face(pc: PointConfiguration, face, s: SphereRef,
-                          budget: int = DEFAULT_ACTIVE_SET_BUDGET):
+def min_norm_sq_over_face(pc: PointConfiguration, face, s: SphereRef):
     """Exact minimum of ||x - center||^2 over conv(face vertices), plus
     whether some minimizer lies in the relative interior of the face."""
     face = sorted(face)
     if not face:
         raise ValueError("a face needs at least one vertex")
-    if len(face) > budget:
-        raise BudgetExceeded("active-set enumeration", len(face), budget)
+    if len(face) > DEFAULT_ACTIVE_SET_BUDGET:
+        raise BudgetExceeded("active-set enumeration", len(face), DEFAULT_ACTIVE_SET_BUDGET)
     verts = [pc.points[i] for i in face]
     k = len(verts)
     best = None
@@ -122,10 +121,9 @@ def _tangent(avoids: bool, value, s: SphereRef) -> bool:
     return avoids and value == s.radius_squared
 
 
-def face_cuts(pc: PointConfiguration, face, s: SphereRef,
-              budget: int = DEFAULT_ACTIVE_SET_BUDGET) -> bool:
+def face_cuts(pc: PointConfiguration, face, s: SphereRef) -> bool:
     """Does the face have a point of the closed ball in its relative interior?"""
-    return _cuts(*min_norm_sq_over_face(pc, face, s, budget), s)
+    return _cuts(*min_norm_sq_over_face(pc, face, s), s)
 
 
 def face_avoids(pc: PointConfiguration, face, s: SphereRef) -> bool:
@@ -165,9 +163,8 @@ def face_avoids(pc: PointConfiguration, face, s: SphereRef) -> bool:
     return best is not None and best >= s.radius_squared
 
 
-def face_tangent(pc: PointConfiguration, face, s: SphereRef,
-                 budget: int = DEFAULT_ACTIVE_SET_BUDGET) -> bool:
-    value, _ = min_norm_sq_over_face(pc, face, s, budget)
+def face_tangent(pc: PointConfiguration, face, s: SphereRef) -> bool:
+    value, _ = min_norm_sq_over_face(pc, face, s)
     return _tangent(face_avoids(pc, face, s), value, s)
 
 
@@ -184,8 +181,8 @@ class ScribeReport:
                            "faces": self.per_face}, indent=1) + "\n"
 
 
-def _face_status(pc, face, s, budget):
-    value, location = min_norm_sq_over_face(pc, face, s, budget)
+def _face_status(pc, face, s):
+    value, location = min_norm_sq_over_face(pc, face, s)
     avoids = face_avoids(pc, face, s)
     return {"face": sorted(face), "cuts": _cuts(value, location, s),
             "avoids": avoids, "tangent": _tangent(avoids, value, s),
@@ -193,20 +190,19 @@ def _face_status(pc, face, s, budget):
 
 
 def check_ij_scribed(pc: PointConfiguration, lattice: FaceLattice, s: SphereRef,
-                     i: int, j: int,
-                     budget: int = DEFAULT_ACTIVE_SET_BUDGET) -> ScribeReport:
+                     i: int, j: int) -> ScribeReport:
     """All i-faces avoid the ball and all j-faces cut it.  Proper faces only."""
     if not 0 <= i <= j <= lattice.dimension - 1:
         raise ParseError(f"need 0 <= i <= j <= d-1, got i={i}, j={j}")
     report = ScribeReport(f"({i},{j})-scribed", True)
     for f in lattice.faces_of_rank(i):
-        st = _face_status(pc, f, s, budget)
+        st = _face_status(pc, f, s)
         st["rank"] = i
         report.per_face.append(st)
         if not st["avoids"]:
             report.holds = False
     for f in lattice.faces_of_rank(j):
-        st = _face_status(pc, f, s, budget)
+        st = _face_status(pc, f, s)
         st["rank"] = j
         report.per_face.append(st)
         if not st["cuts"]:
@@ -215,13 +211,13 @@ def check_ij_scribed(pc: PointConfiguration, lattice: FaceLattice, s: SphereRef,
 
 
 def check_k_scribed(pc: PointConfiguration, lattice: FaceLattice, s: SphereRef,
-                    k: int, budget: int = DEFAULT_ACTIVE_SET_BUDGET) -> ScribeReport:
+                    k: int) -> ScribeReport:
     """All k-faces tangent to the sphere (0 = inscribed, d-1 = circumscribed)."""
     if not 0 <= k <= lattice.dimension - 1:
         raise ParseError(f"need 0 <= k <= d-1, got k={k}")
     report = ScribeReport(f"{k}-scribed", True)
     for f in lattice.faces_of_rank(k):
-        st = _face_status(pc, f, s, budget)
+        st = _face_status(pc, f, s)
         st["rank"] = k
         report.per_face.append(st)
         if not st["tangent"]:
@@ -229,12 +225,16 @@ def check_k_scribed(pc: PointConfiguration, lattice: FaceLattice, s: SphereRef,
     return report
 
 
-def verify_face_lattice(pc: PointConfiguration, claimed_facets,
-                        max_points: int = DEFAULT_MAX_POINTS,
-                        max_dim: int = DEFAULT_MAX_DIM):
+def verify_face_lattice(pc: PointConfiguration, claimed_facets):
     """True iff the claimed facets are exactly the computed ones; on failure
     returns (False, first offending facet)."""
-    computed = {frozenset(f) for f in enumerate_facets(pc, max_points, max_dim)}
+    return match_facets(enumerate_facets(pc), claimed_facets)
+
+
+def match_facets(computed_facets, claimed_facets):
+    """(True, None) iff the two facet lists hold the same vertex sets, else
+    (False, first facet in only one of them)."""
+    computed = {frozenset(f) for f in computed_facets}
     claimed = {frozenset(f) for f in claimed_facets}
     if computed == claimed:
         return True, None
@@ -334,13 +334,12 @@ def _separation_margin(pc: PointConfiguration, subset) -> Fraction:
     return res.objective
 
 
-def k_sets(pc: PointConfiguration, k: int,
-           max_points: int = DEFAULT_KSET_MAX_POINTS) -> list[frozenset[int]]:
+def k_sets(pc: PointConfiguration, k: int) -> list[frozenset[int]]:
     """All k-subsets strictly separable from the rest by a hyperplane.
     By convention k = n returns the full set (vacuous separation)."""
     n = pc.n_points
-    if n > max_points:
-        raise BudgetExceeded("k-set enumeration", n, max_points)
+    if n > DEFAULT_KSET_MAX_POINTS:
+        raise BudgetExceeded("k-set enumeration", n, DEFAULT_KSET_MAX_POINTS)
     if k == n:
         return [frozenset(range(n))]
     out = []

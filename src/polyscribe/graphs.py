@@ -145,53 +145,47 @@ def _components_mask(masks, alive: int) -> int:
     return count
 
 
-def is_one_tough(g: nx.Graph, budget: int = DEFAULT_TOUGHNESS_BUDGET):
-    """True, or (False, ToughnessViolation certificate) with a cutset S such
-    that g - S has more than |S| components.  Exhaustive over subsets."""
+def _cutset_scan(g: nx.Graph, budget: int, what: str, ks: range, at_least: bool,
+                 kind: CertKind, name: str):
+    """Enumerate cutsets S by size k in ks for one that leaves more than k
+    components (at least k when at_least); (True, None) if there is none."""
     n = g.number_of_nodes()
     if n > budget:
-        raise BudgetExceeded("toughness enumeration", n, budget)
+        raise BudgetExceeded(what, n, budget)
     nodes, masks = _neighbor_masks(g)
     full = (1 << n) - 1
-    # components(g-S) <= n-|S|, so a violation needs |S| <= (n-1)//2
-    for k in range(1, (n - 1) // 2 + 1):
+    for k in ks:
         for subset in combinations(range(n), k):
             rm = 0
             for i in subset:
                 rm |= 1 << i
             comps = _components_mask(masks, full & ~rm)
-            if comps > k:
+            if comps >= (k if at_least else k + 1):
                 cut = [nodes[i] for i in subset]
                 return False, Certificate(
-                    CertKind.TOUGHNESS_VIOLATION,
-                    {"cutset": cut, "components": comps},
-                    f"removing {k} vertices leaves {comps} components: not 1-tough",
+                    kind, {"cutset": cut, "components": comps},
+                    f"removing {k} vertices leaves {comps} components: not {name}",
                 )
     return True, None
+
+
+def is_one_tough(g: nx.Graph, budget: int = DEFAULT_TOUGHNESS_BUDGET):
+    """True, or (False, ToughnessViolation certificate) with a cutset S such
+    that g - S has more than |S| components.  Exhaustive over subsets."""
+    # components(g-S) <= n-|S|, so a violation needs |S| <= (n-1)//2
+    n = g.number_of_nodes()
+    return _cutset_scan(g, budget, "toughness enumeration",
+                        range(1, (n - 1) // 2 + 1), False,
+                        CertKind.TOUGHNESS_VIOLATION, "1-tough")
 
 
 def is_one_supertough(g: nx.Graph, budget: int = DEFAULT_TOUGHNESS_BUDGET):
     """True, or (False, SupertoughViolation) with S, |S| = k >= 2, such that
     g - S has at least k components."""
     n = g.number_of_nodes()
-    if n > budget:
-        raise BudgetExceeded("supertoughness enumeration", n, budget)
-    nodes, masks = _neighbor_masks(g)
-    full = (1 << n) - 1
-    for k in range(2, n // 2 + 1):
-        for subset in combinations(range(n), k):
-            rm = 0
-            for i in subset:
-                rm |= 1 << i
-            comps = _components_mask(masks, full & ~rm)
-            if comps >= k:
-                cut = [nodes[i] for i in subset]
-                return False, Certificate(
-                    CertKind.SUPERTOUGH_VIOLATION,
-                    {"cutset": cut, "components": comps},
-                    f"removing {k} vertices leaves {comps} components: not 1-supertough",
-                )
-    return True, None
+    return _cutset_scan(g, budget, "supertoughness enumeration",
+                        range(2, n // 2 + 1), True,
+                        CertKind.SUPERTOUGH_VIOLATION, "1-supertough")
 
 
 # ---------------------------------------------------------------- connectivity

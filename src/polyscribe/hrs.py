@@ -381,8 +381,7 @@ def decide_inscribable(m: CombinatorialMap) -> Verdict:
     return Verdict(verdict.answer, tuple(certs), f"via dual: {verdict.note}")
 
 
-def decide_quadric_inscribable(m: CombinatorialMap, quadric: str = "hyperboloid",
-                               hamilton_budget: int = DEFAULT_HAMILTON_BUDGET, *,
+def decide_quadric_inscribable(m: CombinatorialMap, quadric: str = "hyperboloid", *,
                                sphere: Verdict | None = None) -> Verdict:
     """Inscribable in the hyperboloid/cylinder iff sphere-inscribable and
     Hamiltonian.  A caller that already holds decide_inscribable(m) passes
@@ -394,7 +393,7 @@ def decide_quadric_inscribable(m: CombinatorialMap, quadric: str = "hyperboloid"
     if sphere.is_no:
         return Verdict(Answer.NO, sphere.certificates, "not sphere-inscribable")
     try:
-        cyc = hamiltonian_cycle(m.graph(), hamilton_budget)
+        cyc = hamiltonian_cycle(m.graph(), DEFAULT_HAMILTON_BUDGET)
     except BudgetExceeded:
         cyc = "unknown"
     if cyc == "unknown" or sphere.answer is Answer.UNKNOWN:

@@ -62,14 +62,12 @@ def facet_hyperplane(points, subset):
     return a, dot(a, p0)
 
 
-def enumerate_facets(pc: PointConfiguration,
-                     max_points: int = DEFAULT_MAX_POINTS,
-                     max_dim: int = DEFAULT_MAX_DIM) -> list[frozenset[int]]:
+def enumerate_facets(pc: PointConfiguration) -> list[frozenset[int]]:
     """All facets of conv(points) as vertex-index sets."""
     n, d = pc.n_points, pc.dimension
-    if n > max_points or d > max_dim:
+    if n > DEFAULT_MAX_POINTS or d > DEFAULT_MAX_DIM:
         raise BudgetExceeded("facet enumeration", f"n={n}, d={d}",
-                             f"n<={max_points}, d<={max_dim}")
+                             f"n<={DEFAULT_MAX_POINTS}, d<={DEFAULT_MAX_DIM}")
     if affine_rank(pc.points) != d:
         raise DegenerateSpan(f"points span affine dimension {affine_rank(pc.points)}, not {d}")
     if comb(n, d) > 200_000:
@@ -99,12 +97,10 @@ def enumerate_facets(pc: PointConfiguration,
     return sorted(facets, key=sorted)
 
 
-def build_face_lattice(pc: PointConfiguration,
-                       max_points: int = DEFAULT_MAX_POINTS,
-                       max_dim: int = DEFAULT_MAX_DIM) -> FaceLattice:
+def build_face_lattice(pc: PointConfiguration) -> FaceLattice:
     """Full face lattice (ranks 0..d-1) from the facet list by intersection."""
     d = pc.dimension
-    facets = enumerate_facets(pc, max_points, max_dim)
+    facets = enumerate_facets(pc)
     # Closure of the facet sets under intersection; rank = affine dimension.
     proper: set[frozenset[int]] = set(facets)
     frontier = set(facets)

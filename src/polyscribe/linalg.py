@@ -82,15 +82,6 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(s, v):
-    s = Fraction(s)
-    return tuple(s * a for a in v)
-
-
 def affine_rank(points) -> int:
     """Dimension of the affine hull of the given points."""
     pts = list(points)

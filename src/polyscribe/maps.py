@@ -31,6 +31,9 @@ class CombinatorialMap:
     faces: tuple[tuple[int, ...], ...]
     name: str | None = None
     edges: frozenset[frozenset[int]] = field(init=False, compare=False)
+    # The polar dual, built by the first dual_map call on this map.
+    _dual: CombinatorialMap | None = field(default=None, init=False,
+                                           compare=False, repr=False)
 
     def __post_init__(self):
         es = set()
@@ -152,7 +155,14 @@ def _rotation_at_vertex(m: CombinatorialMap, v: int) -> list[int]:
 
 
 def dual_map(m: CombinatorialMap) -> CombinatorialMap:
-    """Polar dual: vertices <-> faces, dual faces = vertex stars in rotation order."""
+    """Polar dual: vertices <-> faces, dual faces = vertex stars in rotation
+    order.  It is built and validated once per map object and kept on it."""
+    if m._dual is None:
+        object.__setattr__(m, "_dual", _build_dual(m))
+    return m._dual
+
+
+def _build_dual(m: CombinatorialMap) -> CombinatorialMap:
     dual_faces = tuple(tuple(_rotation_at_vertex(m, v)) for v in range(m.n_vertices))
     name = f"dual({m.name})" if m.name else None
     out = CombinatorialMap(m.n_faces, dual_faces, name)

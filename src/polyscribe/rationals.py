@@ -14,8 +14,6 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-ExactScalar = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 

@@ -223,38 +223,36 @@ def _extract_duals(obj, slack_col, art_col, m, art_cost):
     return y
 
 
-def verify_dual_bound(lp: LinearProgram, y, bound: Fraction) -> bool:
-    """Check that y certifies  c.x <= bound  for every feasible x >= 0.
-
-    Requires y_i >= 0 on '<=' rows, y_i <= 0 on '>=' rows, free on '=',
-    sum_i y_i a_i >= c componentwise, and sum_i y_i b_i == bound.
-    """
+def _row_combination(lp: LinearProgram, y):
+    """(sum_i y_i a_i, sum_i y_i b_i), or None when a multiplier has the
+    wrong sign: y_i >= 0 on '<=' rows, y_i <= 0 on '>=' rows, free on '='."""
     total = Fraction(0)
     comb = [Fraction(0)] * lp.n_vars
     for yi, (a, rel, b) in zip(y, lp.rows):
-        if rel == LE and yi < 0:
-            return False
-        if rel == GE and yi > 0:
-            return False
+        if (rel == LE and yi < 0) or (rel == GE and yi > 0):
+            return None
         total += yi * b
         for j, aj in enumerate(a):
             comb[j] += yi * aj
-    if total != bound:
+    return comb, total
+
+
+def verify_dual_bound(lp: LinearProgram, y, bound: Fraction) -> bool:
+    """Check that y certifies  c.x <= bound  for every feasible x >= 0:
+    signed multipliers with sum_i y_i a_i >= c componentwise and
+    sum_i y_i b_i == bound."""
+    combined = _row_combination(lp, y)
+    if combined is None:
         return False
-    return all(cj >= oj for cj, oj in zip(comb, lp.objective))
+    comb, total = combined
+    return total == bound and all(cj >= oj for cj, oj in zip(comb, lp.objective))
 
 
 def verify_farkas(lp: LinearProgram, y) -> bool:
     """Check that y certifies infeasibility: the combination sum_i y_i (row_i)
     has nonnegative coefficients on x but a negative right-hand side."""
-    total = Fraction(0)
-    comb = [Fraction(0)] * lp.n_vars
-    for yi, (a, rel, b) in zip(y, lp.rows):
-        if rel == LE and yi < 0:
-            return False
-        if rel == GE and yi > 0:
-            return False
-        total += yi * b
-        for j, aj in enumerate(a):
-            comb[j] += yi * aj
+    combined = _row_combination(lp, y)
+    if combined is None:
+        return False
+    comb, total = combined
     return all(cj >= 0 for cj in comb) and total < 0

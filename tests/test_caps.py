@@ -1,14 +1,17 @@
 import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyscribe.caps import (CapSystem, SphericalCap, cap_intersection_graph,
-                             centerpoint_normalize, hyperplane_hits,
-                             near_uniform_system, parse_caps_json, ply_depth,
-                             ply_depth_sampling, random_hyperplane_separator,
+from polyscribe.caps import (CapSystem, SphericalCap, _caps_overlap, _sign,
+                             cap_intersection_graph, centerpoint_normalize,
+                             hyperplane_hits, near_uniform_system,
+                             parse_caps_json, ply_depth, ply_depth_sampling,
+                             random_hyperplane_separator,
                              random_visibility_system, serialize_caps_json,
                              visibility_cap, visibility_system)
 from polyscribe.errors import (DegenerateConfiguration, MonteCarloOnly,
@@ -193,3 +196,214 @@ def test_membership_matches_float_oracle(ax, cos_r):
         rhs = float(cos_r) * math.sqrt(float(cap.norm_sq) * float(norm_sq(x)))
         if abs(lhs - rhs) > 1e-9:
             assert exact == (lhs >= rhs)
+
+
+# ------------------------------------------------- reference sign predicates
+# The case analyses the one-kernel predicates replaced, kept as the oracle of
+# the differential tests below.
+
+def ref_plus_sqrt_nonneg(r, s, rho):
+    """r + s*sqrt(rho) >= 0 for rationals with rho >= 0."""
+    if s == 0 or rho == 0:
+        return r >= 0
+    if r >= 0 and s > 0:
+        return True
+    if r < 0 and s < 0:
+        return False
+    if s < 0:
+        return r * r >= s * s * rho
+    return s * s * rho >= r * r
+
+
+def ref_contains(cap, x):
+    lhs = dot(cap.axis, x)
+    if cap.offset is not None:
+        return ref_plus_sqrt_nonneg(lhs, -cap.offset, norm_sq(x))
+    return ref_plus_sqrt_nonneg(lhs, -cap.cos_radius, norm_sq(cap.axis) * norm_sq(x))
+
+
+def ref_cos(cap):
+    """(sign, square) of the cap's cosine, computed from the input form."""
+    if cap.cos_radius is not None:
+        c = cap.cos_radius
+        return (c > 0) - (c < 0), c * c
+    b = cap.offset
+    return (b > 0) - (b < 0), b * b / norm_sq(cap.axis)
+
+
+def ref_caps_overlap(ci, cj):
+    ni, nj = norm_sq(ci.axis), norm_sq(cj.axis)
+    (si, qi), (sj, qj) = ref_cos(ci), ref_cos(cj)
+    if si <= 0 and sj <= 0:
+        return True
+    if not (si >= 0 and sj >= 0):
+        neg_q, pos_q = (qi, qj) if si < 0 else (qj, qi)
+        if neg_q >= pos_q:
+            return True
+    p = dot(ci.axis, cj.axis)
+    alpha = (1 - qi) * (1 - qj) * ni * nj
+    beta = qi * qj * ni * nj
+    sign = si * sj
+    if sign <= 0:
+        if p >= 0:
+            return True
+        gap = p * p - alpha - sign * sign * beta
+        if gap <= 0:
+            return True
+        return 4 * sign * sign * alpha * beta >= gap * gap
+    if p >= 0:
+        return ref_plus_sqrt_nonneg(p * p + alpha - beta, 2 * p, alpha)
+    return ref_plus_sqrt_nonneg(alpha - beta - p * p, 2 * p, beta)
+
+
+# Cosine/sine pairs of angular radii with both values rational.
+RATIONAL_ANGLES = [(F(1), F(0)), (F(0), F(1))] + [
+    (sg * F(a, c), F(b, c)) for a, b, c in ((3, 4, 5), (4, 3, 5), (5, 12, 13),
+                                            (12, 5, 13), (8, 15, 17), (7, 24, 25))
+    for sg in (1, -1)]
+
+
+def _rotation(rng):
+    """Rational rotation matrix of a random integer quaternion."""
+    while True:
+        w, x, y, z = (rng.randint(-3, 3) for _ in range(4))
+        n = w * w + x * x + y * y + z * z
+        if n:
+            break
+    rows = ((w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y)),
+            (2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x)),
+            (2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z))
+    return [[F(v, n) for v in row] for row in rows]
+
+
+def _apply(rot, v):
+    return tuple(dot(row, v) for row in rot)
+
+
+def _cap(axis, cos, length, rng):
+    """The cap with unit axis direction axis/length and cosine cos, in a
+    random one of the two input forms."""
+    if rng.random() < 0.5:
+        return SphericalCap(axis=axis, cos_radius=cos)
+    return SphericalCap(axis=axis, offset=cos * length)
+
+
+def _random_cap(rng):
+    while True:
+        axis = tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3))
+        if any(axis):
+            break
+    if rng.random() < 0.5:
+        cos = F(rng.randint(-9, 10), 10)
+        if cos == -1:
+            cos = F(0)
+        return SphericalCap(axis=axis, cos_radius=cos)
+    n2 = norm_sq(axis)
+    while True:
+        b = F(rng.randint(-40, 40), rng.randint(1, 8))
+        if (b >= 0 and b * b <= n2) or (b < 0 and b * b < n2):
+            return SphericalCap(axis=axis, offset=b)
+
+
+def _tangent_pair(rng):
+    """Two caps whose angular distance is exactly the sum of their radii,
+    unless that sum exceeds pi."""
+    (c1, s1), (c2, s2) = rng.choice(RATIONAL_ANGLES), rng.choice(RATIONAL_ANGLES)
+    rot = _rotation(rng)
+    k1, k2 = rng.randint(1, 4), rng.randint(1, 4)
+    a1 = _apply(rot, (F(k1), F(0), F(0)))
+    a2 = _apply(rot, (k2 * (c1 * c2 - s1 * s2), k2 * (s1 * c2 + c1 * s2), F(0)))
+    return _cap(a1, c1, k1, rng), _cap(a2, c2, k2, rng)
+
+
+def test_caps_overlap_matches_reference():
+    rng = random.Random(20)
+    pairs = [(_random_cap(rng), _random_cap(rng)) for _ in range(3000)]
+    pairs += [_tangent_pair(rng) for _ in range(1500)]
+    signs = set()
+    outcomes = set()
+    for ci, cj in pairs:
+        signs.add((ci.cos_sign, cj.cos_sign))
+        got = _caps_overlap(ci, cj)
+        outcomes.add(got)
+        assert got == ref_caps_overlap(ci, cj) == ref_caps_overlap(cj, ci), (ci, cj)
+    assert outcomes == {True, False}
+    assert {(1, 1), (1, -1), (-1, 1), (-1, -1), (0, 1), (1, 0)} <= signs
+
+
+def test_contains_matches_reference():
+    rng = random.Random(21)
+    seen = set()
+    for _ in range(600):
+        cap = _random_cap(rng)
+        points = [tuple(F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3))
+                  for _ in range(6)]
+        for x in points:
+            if any(x):
+                got = cap.contains(x)
+                seen.add((cap.offset is None, cap.cos_sign, got))
+                assert got == ref_contains(cap, x), (cap, x)
+    # points exactly on the boundary circle of rotated caps
+    for _ in range(600):
+        c, s = rng.choice(RATIONAL_ANGLES)
+        rot = _rotation(rng)
+        k = rng.randint(1, 4)
+        cap = _cap(_apply(rot, (F(k), F(0), F(0))), c, k, rng)
+        scale = F(rng.randint(1, 5), rng.randint(1, 5))
+        for x in [_apply(rot, (scale * c, scale * s, F(0))),
+                  _apply(rot, (scale * c, F(0), -scale * s))]:
+            got = cap.contains(x)
+            assert got and got == ref_contains(cap, x), (cap, x)
+    assert {(plain, sign) for plain, sign, _ in seen} == {
+        (p, sg) for p in (True, False) for sg in (-1, 0, 1)}
+    assert {got for *_, got in seen} == {True, False}
+
+
+def _decimal_sign(r, a, x, b, y):
+    """Sign of r + a sqrt(x) + b sqrt(y) at 60 digits, or None when the
+    value is within 1e-30 of zero."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        def dec(q):
+            return Decimal(q.numerator) / Decimal(q.denominator)
+        value = dec(r) + dec(a) * dec(x).sqrt() + dec(b) * dec(y).sqrt()
+        if abs(value) <= Decimal("1e-30"):
+            return None
+        return 1 if value > 0 else -1
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+radicands = st.fractions(min_value=0, max_value=50, max_denominator=30)
+
+
+@settings(deadline=None, max_examples=400)
+@given(rationals, rationals, rationals, radicands, radicands,
+       st.sampled_from(["any", "squares", "zero"]))
+def test_sign_matches_oracle(r, a, b, u, v, mode):
+    # "zero" picks r so that the value is exactly 0 with square radicands
+    if mode == "zero":
+        r = -(a * u + b * v)
+    squares = mode != "any"
+    x, y = (u * u, v * v) if squares else (u, v)
+    got = _sign(r, a, x, b, y)
+    if squares:
+        value = r + a * u + b * v
+        assert got == (value > 0) - (value < 0)
+    else:
+        expect = _decimal_sign(r, a, x, b, y)
+        if expect is not None:
+            assert got == expect
+    assert _sign(r, a, x) == _sign(r, a, x, b, 0) == _sign(r, a, x, 0, y)
+    assert _sign(-r, -a, x, -b, y) == -got
+
+
+def test_sign_exact_zeros_and_negative_radicands():
+    assert _sign(0, 3, F(2), -1, F(18)) == 0          # 3 sqrt 2 - sqrt 18
+    assert _sign(F(1, 2), -1, F(1, 4)) == 0
+    assert _sign(-5, 1, F(4), 1, F(9)) == 0
+    assert _sign(3, -1, F(2), -1, F(8)) == -1         # 3 - 3 sqrt 2
+    assert _sign(F(1, 10**9), 1, F(2), -1, F(2)) == 1
+    with pytest.raises(ValueError):
+        _sign(0, 1, F(-1))
+    with pytest.raises(ValueError):
+        _sign(0, 1, F(1), 1, F(-1, 3))

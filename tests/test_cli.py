@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from polyscribe import graphs, hrs
+from polyscribe import graphs, hrs, hull, maps
 from polyscribe.cli import main
 from polyscribe.caps import random_visibility_system, serialize_caps_json
 from polyscribe.corpus import named_polytope, prism
@@ -71,6 +71,24 @@ def test_analyze_decides_supertoughness_once(mapfile, capsys, monkeypatch):
     assert outcomes["simple-polytope characterization"] == "YES"
 
 
+def test_analyze_builds_one_dual(mapfile, capsys, monkeypatch):
+    # the paint test, the simple-polytope characterization, the
+    # inscribability decision and the certificate re-checks share one dual
+    files = [mapfile("cube"), mapfile("truncated-tetrahedron")]
+    calls = []
+    build = maps._build_dual
+
+    def counted(m):
+        calls.append(m)
+        return build(m)
+    monkeypatch.setattr(maps, "_build_dual", counted)
+    for f in files:
+        rc, out = run(capsys, "analyze", f, "--json", "--verify-certificates")
+        assert rc == 0 and json.loads(out)["certificates_verified"] is True
+    # each run parses its own map and builds its own dual
+    assert len(calls) == 2
+
+
 def test_analyze_prism_15_toughness_unknown(tmp_path, capsys):
     # 30 vertices exceed the toughness budget of 22: those tests answer
     # UNKNOWN (exit 2) instead of enumerating subsets for minutes
@@ -117,6 +135,25 @@ def test_generate_named_coordinates_roundtrip(tmp_path, capsys):
     rc, out = run(capsys, "check", str(pts), "--map", str(mp), "--json")
     res = json.loads(out)["results"]
     assert rc == 0 and res["on_sphere"] and res["map_facets_match"]
+
+
+def test_check_with_map_enumerates_facets_once(tmp_path, capsys, monkeypatch):
+    pts = tmp_path / "cube.json"
+    mp = tmp_path / "cube-map.json"
+    assert run(capsys, "generate", "--family", "cube", "--coordinates",
+               "-o", str(pts))[0] == 0
+    assert run(capsys, "generate", "--family", "cube", "-o", str(mp))[0] == 0
+    calls = []
+    enumerate_facets = hull.enumerate_facets
+
+    def counted(pc):
+        calls.append(pc)
+        return enumerate_facets(pc)
+    monkeypatch.setattr(hull, "enumerate_facets", counted)
+    rc, out = run(capsys, "check", str(pts), "--map", str(mp), "--json")
+    res = json.loads(out)["results"]
+    assert rc == 0 and res["claimed_facets_match"] and res["map_facets_match"]
+    assert len(calls) == 1
 
 
 def test_generate_unknown_family(capsys):
