@@ -12,6 +12,14 @@ Either way a cap is held in one form: the squared axis norm N, and the sign
 s and square q of its cosine, all rational.  Every predicate below is the
 exact sign of r + a*sqrt(x) + b*sqrt(y) for rationals r, a, b and x, y >= 0,
 decided by one kernel, `_sign`.
+
+Predicates over a whole system are float-filtered.  Each CapSystem keeps a
+float64 copy of the form (unit axes, cosines, sines) and evaluates a
+predicate for all caps at once with numpy.  A value within the forward error
+bound derived in `_FloatForm` of zero, and every cap or query point without
+a float copy, is decided by the exact code (`_sign`, `_caps_overlap`,
+`SphericalCap.contains`, or a squared rational comparison), so every answer
+is the exact one.
 """
 
 from __future__ import annotations
@@ -21,14 +29,16 @@ import math
 import statistics
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 import networkx as nx
 import numpy as np
 
 from .errors import (DegenerateConfiguration, MonteCarloOnly, ParseError,
                      PointInsideBall)
-from .linalg import dot, norm_sq, solve_linear
+from .linalg import dot, norm_sq
 from .points import PointConfiguration
 from .rationals import format_rational, format_vector, parse_rational, parse_vector
 
@@ -128,6 +138,92 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
+# --------------------------------------------------------------- float filter
+
+_U = 2.0 ** -53                      # unit roundoff of float64
+_TINY, _HUGE = 2.0 ** -500, 2.0 ** 500
+_SAMPLE_BLOCK = 1024                 # samples per matrix product in sampling
+
+
+def _float(v) -> float:
+    """float(v), correctly rounded; inf when it overflows and NaN when a
+    nonzero v rounds to zero."""
+    try:
+        x = float(v)
+    except OverflowError:
+        return math.inf
+    return math.nan if x == 0 and v else x
+
+
+def _safe(m):
+    """m with NaN wherever a nonzero entry lies outside [2^-500, 2^500]."""
+    mag = np.abs(m)
+    return np.where((mag == 0) | ((mag >= _TINY) & (mag <= _HUGE)), m, np.nan)
+
+
+def _floats(values):
+    return _safe(np.array([_float(v) for v in values], dtype=float))
+
+
+def _unit_rows(m):
+    """The rows of m scaled to unit length; a zero row, or one with an entry
+    outside the safe range, becomes NaN."""
+    m = _safe(m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return m / np.sqrt(np.einsum("ij,ij->i", m, m))[:, None]
+
+
+class _FloatForm(NamedTuple):
+    """Float64 copy of a cap system's form, for filtering its predicates.
+
+    Row i holds the unit axis a_i/||a_i||, c_i = s_i sqrt(q_i) and
+    sin_i = sqrt(1 - q_i).  Every nonzero input (axis component, q_i,
+    1 - q_i, query component) must convert to a magnitude in
+    [2^-500, 2^500]; otherwise its row is NaN, NaN fails both comparisons
+    in `_decide`, and every predicate on that cap or query is decided
+    exactly.  In that range no square, sum or norm over- or underflows for
+    d < 2^23, so each operation has relative error at most u = 2^-53; an
+    underflowing product of unit-scale components adds at most 2^-1074.
+
+    Forward error of each value the filter reads (gamma_d = du/(1-du),
+    Higham, Accuracy and Stability of Numerical Algorithms, section 3.1):
+
+    - float(Fraction) rounds correctly: relative error u per input.
+    - A unit vector (an axis or a query direction): the float norm
+      sqrt(sum v_k^2) is within gamma_d/2 + u relative, so each component is
+      within (d/2 + 4)u relative, counting conversions and the division.
+    - c_i and sin_i: one conversion and one sqrt, within 2u relative.
+    - The dot product of two unit vectors, summed in any order: the inputs
+      add (d + 8)u and the rounding gamma_d, so (2d + 9)u.
+    - Graph value <a_i, a_j> - c_i c_j + sin_i sin_j: each product of two
+      cosines or sines adds 5u and the two additions 2u + 3u, so
+      (2d + 24)u; c_i + c_j is within 6u.
+    - Membership <a_i, x> - c_i and hit value sin_i - |<a_i, u>|: (2d + 13)u.
+    - A ply candidate x0 +/- sqrt(rho) n is a unit vector and is not
+      renormalized: each component is within 4.5u (|x0_k| + sqrt(rho)|n_k|),
+      at most 6.4u in norm since ||x0||^2 + rho ||n||^2 = 1, so its
+      membership value is within (1.5d + 14.5)u.
+
+    `bound` = (2d + 32)u exceeds each of these with room for the O(u^2)
+    terms, so a value beyond +/- bound has its exact sign.
+    """
+
+    axes: np.ndarray    # n x d
+    cos: np.ndarray
+    sin: np.ndarray
+    bound: float
+
+
+def _decide(values, bound, exact):
+    """Signs of an array of filter values: the float sign where a value
+    clears +/- bound, exact(*index) elsewhere (near zero, or NaN for an
+    input without a float copy)."""
+    signs = np.where(values > bound, 1, np.where(values < -bound, -1, 0))
+    for idx in zip(*np.nonzero(signs == 0)):
+        signs[idx] = exact(*idx)
+    return signs
+
+
 @dataclass(frozen=True)
 class CapSystem:
     dimension: int
@@ -138,6 +234,18 @@ class CapSystem:
         for c in self.caps:
             if len(c.axis) != self.dimension:
                 raise ParseError("cap axis dimension mismatch")
+
+    @cached_property
+    def floats(self) -> _FloatForm:
+        """The float copy every filtered predicate reads, built on first use."""
+        d = self.dimension
+        axes = np.array([[_float(c) for c in cap.axis] for cap in self.caps],
+                        dtype=float).reshape(self.n_caps, d)
+        sign = np.array([cap.cos_sign for cap in self.caps], dtype=float)
+        return _FloatForm(_unit_rows(axes),
+                          sign * np.sqrt(_floats(cap.cos_sq for cap in self.caps)),
+                          np.sqrt(_floats(1 - cap.cos_sq for cap in self.caps)),
+                          (2 * d + 32) * _U)
 
     @property
     def n_caps(self) -> int:
@@ -181,12 +289,20 @@ def _caps_overlap(ci: SphericalCap, cj: SphericalCap) -> bool:
 
 
 def cap_intersection_graph(cs: CapSystem) -> nx.Graph:
+    """Caps i < j meet iff c_i + c_j <= 0 or <a_i, a_j> - c_i c_j +
+    sin_i sin_j >= 0 (unit axes; see `_caps_overlap`), that is iff the
+    larger of the negated first and the second value is >= 0.  Both come
+    from one Gram matrix; pairs within the filter bound go to
+    `_caps_overlap`."""
+    f = cs.floats
+    i, j = np.triu_indices(cs.n_caps, 1)
+    gap = (f.axes @ f.axes.T)[i, j] - f.cos[i] * f.cos[j] + f.sin[i] * f.sin[j]
+    meet = _decide(np.maximum(-(f.cos[i] + f.cos[j]), gap), f.bound,
+                   lambda k: 1 if _caps_overlap(cs.caps[i[k]], cs.caps[j[k]])
+                   else -1) >= 0
     g = nx.Graph()
     g.add_nodes_from(range(cs.n_caps))
-    for i in range(cs.n_caps):
-        for j in range(i + 1, cs.n_caps):
-            if _caps_overlap(cs.caps[i], cs.caps[j]):
-                g.add_edge(i, j)
+    g.add_edges_from(zip(i[meet].tolist(), j[meet].tolist()))
     return g
 
 
@@ -243,28 +359,28 @@ def ply_depth(cs: CapSystem):
     for i, cap in enumerate(cs.caps):
         groups.setdefault(_identity_key(cap), []).append(i)
     reps = [members[0] for members in groups.values()]
-    mult = {members[0]: len(members) for members in groups.values()}
+    weight = np.array([len(members) for members in groups.values()])
+
+    # The sign of <w_k, x> - b_k at a unit candidate x is that of
+    # <a_k/||a_k||, x> - c_k, one product per candidate against all caps;
+    # only caps within the filter bound get the exact term, among them the
+    # caps whose boundary circles pass through x.
+    f = cs.floats
+    axes, cos = f.axes[reps], f.cos[reps]
+
+    def depth_at(values, exact):  # exact(k): sign of the term of cap k
+        signs = _decide(values, f.bound, lambda m: exact(reps[m]))
+        return int(weight[signs >= 0].sum()), int((signs == 0).sum())
 
     best = None
-    # sign of <w_k, x> - b_k at x = r + s*sqrt(rho)*n, all rational data
-    def depth_at(terms):  # terms[k] = (r_k, s_k, rho)
-        total = 0
-        on_boundary = 0
-        for k, (r, s, rho) in terms.items():
-            sg = _sign(r, s, rho)
-            if sg >= 0:
-                total += mult[k]
-            if sg == 0:
-                on_boundary += 1
-        return total, on_boundary
-
     # Axis candidates: x = a/||a||; <w_k, x> >= b_k scales to
     # <w_k, a> - b_k sqrt(||a||^2) >= 0.
-    for i in reps:
+    at_axes = axes @ axes.T - cos[:, None]
+    for m, i in enumerate(reps):
         a = cs.caps[i].axis
         na = norm_sq(a)
-        terms = {k: (dot(planes[k][0], a), -planes[k][1], na) for k in reps}
-        total, nb = depth_at(terms)
+        total, nb = depth_at(at_axes[:, m], lambda k: _sign(
+            dot(planes[k][0], a), -planes[k][1], na))
         if nb > 0:
             raise DegenerateConfiguration("a boundary circle passes through a cap axis")
         if best is None or total > best[0]:
@@ -278,7 +394,7 @@ def ply_depth(cs: CapSystem):
             i, j = reps[ii], reps[jj]
             wi, bi = planes[i]
             wj, bj = planes[j]
-            ni, nj, p = norm_sq(wi), norm_sq(wj), dot(wi, wj)
+            ni, nj, p = cs.caps[i].norm_sq, cs.caps[j].norm_sq, dot(wi, wj)
             det = ni * nj - p * p
             if det == 0:  # parallel boundary planes
                 lam = p / ni
@@ -286,8 +402,8 @@ def ply_depth(cs: CapSystem):
                     raise DegenerateConfiguration(
                         "distinct caps share a boundary circle")
                 continue
-            sol = solve_linear([[ni, p], [p, nj]], [bi, bj])
-            alpha, beta = sol
+            # x0 = alpha w_i + beta w_j with <w_i, x0> = b_i, <w_j, x0> = b_j
+            alpha, beta = (bi * nj - bj * p) / det, (bj * ni - bi * p) / det
             x0 = tuple(alpha * a + beta * b for a, b in zip(wi, wj))
             n = _cross(wi, wj)
             rho = (1 - norm_sq(x0)) / norm_sq(n)
@@ -295,10 +411,13 @@ def ply_depth(cs: CapSystem):
                 continue
             if rho == 0:
                 raise DegenerateConfiguration("tangent boundary circles")
+            x0f, nf, rootf = _floats(x0), _floats(n), np.sqrt(_floats((rho,))[0])
             for sgn in (1, -1):
-                terms = {k: (dot(planes[k][0], x0) - planes[k][1],
-                             sgn * dot(planes[k][0], n), rho) for k in reps}
-                total, nb = depth_at(terms)
+                # x lies on the circles of caps i and j by construction
+                total, nb = depth_at(axes @ (x0f + sgn * rootf * nf) - cos,
+                                     lambda k: 0 if k in (i, j) else _sign(
+                                         dot(planes[k][0], x0) - planes[k][1],
+                                         sgn * dot(planes[k][0], n), rho))
                 if nb > 2:
                     raise DegenerateConfiguration(
                         "three boundary circles meet at a point")
@@ -316,19 +435,33 @@ def ply_depth(cs: CapSystem):
 
 def ply_depth_sampling(cs: CapSystem, samples: int = 20000, seed: int = 0):
     """Monte Carlo lower bound on the ply depth, any dimension; clearly a
-    lower bound, never an exact answer.  Membership per sample is exact."""
+    lower bound, never an exact answer.  Membership per sample is exact:
+    float-filtered, with `SphericalCap.contains` on the sample's dyadic
+    rational coordinates near the boundary."""
+    if samples < 1:
+        raise ParseError(f"need at least one sample, got {samples}")
     rng = np.random.Generator(np.random.Philox(key=(seed << 64) | 0xCA95))
+    f = cs.floats
     best = (0, None)
-    for _ in range(samples):
-        z = rng.standard_normal(cs.dimension)
-        x = tuple(Fraction(float(c)) for c in z)
-        if norm_sq(x) == 0:
-            continue
-        depth = sum(1 for cap in cs.caps if cap.contains(x))
-        if depth > best[0]:
-            best = (depth, {"kind": "sample", "mode": "monte-carlo lower bound",
-                            "direction": format_vector(x)})
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        # one draw of k x d normals equals k draws of d normals
+        z = rng.standard_normal((min(_SAMPLE_BLOCK, samples - start), cs.dimension))
+        values = _unit_rows(z) @ f.axes.T - f.cos
+        values[~z.any(axis=1)] = -np.inf      # a zero sample counts nothing
+
+        def exact(r, k):
+            return 1 if cs.caps[k].contains(_dyadic(z[r])) else -1
+        depths = (_decide(values, f.bound, exact) >= 0).sum(axis=1)
+        r = int(np.argmax(depths))
+        if depths[r] > best[0]:
+            best = (int(depths[r]), {"kind": "sample",
+                                     "mode": "monte-carlo lower bound",
+                                     "direction": format_vector(_dyadic(z[r]))})
     return best
+
+
+def _dyadic(z):
+    return tuple(Fraction(float(c)) for c in z)
 
 
 # ------------------------------------------------------- separator experiment
@@ -368,14 +501,21 @@ def _trial_normal(seed: int, trial: int, d: int):
 
 def hyperplane_hits(cs: CapSystem, u) -> list[int]:
     """Caps whose closure meets the hyperplane with normal u:
-    |<u, axis>| <= sin(radius) ||u|| ||axis||, in squared form."""
+    |<u, axis>| <= sin(radius) ||u|| ||axis||.  One product of the unit axes
+    with u/||u|| gives sin_i - |<a_i, u>| / (||a_i|| ||u||) for all caps;
+    values within the filter bound are decided by the rational comparison
+    in squared form."""
+    f = cs.floats
     un = norm_sq(u)
-    out = []
-    for i, cap in enumerate(cs.caps):
+
+    def exact(i):
+        cap = cs.caps[i]
         t = dot(u, cap.axis)
-        if t * t <= (1 - cap.cos_sq) * un * cap.norm_sq:
-            out.append(i)
-    return out
+        slack = (1 - cap.cos_sq) * un * cap.norm_sq - t * t
+        return (slack > 0) - (slack < 0)
+    x = _unit_rows(_floats(u)[None, :])[0]
+    return np.flatnonzero(
+        _decide(f.sin - np.abs(f.axes @ x), f.bound, exact) >= 0).tolist()
 
 
 def random_hyperplane_separator(cs: CapSystem, trials: int,
@@ -385,6 +525,8 @@ def random_hyperplane_separator(cs: CapSystem, trials: int,
     keyed by (seed, trial), so a trial's hits do not depend on the others."""
     if trials < 1:
         raise ParseError(f"need at least one trial, got {trials}")
+    if cs.dimension < 1:
+        raise ParseError(f"need a positive dimension, got {cs.dimension}")
     g = cap_intersection_graph(cs)
     all_hits = [hyperplane_hits(cs, _trial_normal(seed, t, cs.dimension))
                 for t in range(trials)]
@@ -490,8 +632,15 @@ def parse_caps_json(text: str) -> CapSystem:
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict) or "dimension" not in raw or "caps" not in raw:
         raise ParseError("cap file must contain 'dimension' and 'caps'")
+    d = raw["dimension"]
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise ParseError(f"'dimension' must be a positive integer, got {d!r}")
+    if not isinstance(raw["caps"], list):
+        raise ParseError("'caps' must be a list")
     caps = []
     for entry in raw["caps"]:
+        if not isinstance(entry, dict) or not isinstance(entry.get("axis"), list):
+            raise ParseError("each cap must be an object with an 'axis' list")
         axis = parse_vector(entry["axis"])
         if "cos_radius" in entry:
             caps.append(SphericalCap(axis=axis,
@@ -501,7 +650,7 @@ def parse_caps_json(text: str) -> CapSystem:
                                      offset=parse_rational(entry["offset"])))
         else:
             raise ParseError("cap entry needs 'cos_radius' or 'offset'")
-    return CapSystem(raw["dimension"], tuple(caps))
+    return CapSystem(d, tuple(caps))
 
 
 def serialize_caps_json(cs: CapSystem) -> str:

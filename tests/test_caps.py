@@ -1,14 +1,17 @@
 import math
 import random
+from itertools import combinations
 from decimal import Decimal, localcontext
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyscribe import caps
 from polyscribe.caps import (CapSystem, SphericalCap, _caps_overlap, _sign,
-                             cap_intersection_graph, centerpoint_normalize,
+                             _trial_normal, cap_intersection_graph, centerpoint_normalize,
                              hyperplane_hits, near_uniform_system,
                              parse_caps_json, ply_depth, ply_depth_sampling,
                              random_hyperplane_separator,
@@ -327,6 +330,9 @@ def test_caps_overlap_matches_reference():
         got = _caps_overlap(ci, cj)
         outcomes.add(got)
         assert got == ref_caps_overlap(ci, cj) == ref_caps_overlap(cj, ci), (ci, cj)
+        # the float-filtered graph of the pair as a 2-cap system
+        edges = cap_intersection_graph(CapSystem(3, (ci, cj))).number_of_edges()
+        assert edges == got, (ci, cj)
     assert outcomes == {True, False}
     assert {(1, 1), (1, -1), (-1, 1), (-1, -1), (0, 1), (1, 0)} <= signs
 
@@ -407,3 +413,175 @@ def test_sign_exact_zeros_and_negative_radicands():
         _sign(0, 1, F(-1))
     with pytest.raises(ValueError):
         _sign(0, 1, F(1), 1, F(-1, 3))
+
+
+# ------------------------------------------- float filter against exact code
+# The per-cap loops the filtered whole-system predicates replaced, kept as
+# the oracle of the differential tests below.
+
+def ref_graph_edges(cs):
+    return {(i, j) for i, j in combinations(range(cs.n_caps), 2)
+            if ref_caps_overlap(cs.caps[i], cs.caps[j])}
+
+
+def ref_hyperplane_hits(cs, u):
+    un = norm_sq(u)
+    return [i for i, cap in enumerate(cs.caps)
+            if dot(u, cap.axis) ** 2 <= (1 - cap.cos_sq) * un * cap.norm_sq]
+
+
+def _ref_samples(samples, seed, d):
+    rng = np.random.Generator(np.random.Philox(key=(seed << 64) | 0xCA95))
+    return [tuple(F(float(c)) for c in rng.standard_normal(d))
+            for _ in range(samples)]
+
+
+def ref_ply_depth_sampling(cs, samples, seed):
+    best = (0, None)
+    for x in _ref_samples(samples, seed, cs.dimension):
+        if norm_sq(x) == 0:
+            continue
+        depth = sum(1 for cap in cs.caps if ref_contains(cap, x))
+        if depth > best[0]:
+            best = (depth, {"kind": "sample", "mode": "monte-carlo lower bound",
+                            "direction": [str(c) for c in x]})
+    return best
+
+
+def _all_exact(monkeypatch):
+    """Switch the filter off: every value goes to the exact fallback."""
+    def decide(values, bound, exact):
+        signs = np.zeros(values.shape, dtype=int)
+        for idx in np.ndindex(values.shape):
+            signs[idx] = exact(*idx)
+        return signs
+    monkeypatch.setattr(caps, "_decide", decide)
+
+
+def _edges(cs):
+    return set(cap_intersection_graph(cs).edges)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_graph_matches_reference(seed):
+    systems = [near_uniform_system(125, seed=seed),
+               random_visibility_system(40, seed=seed),
+               random_visibility_system(25, seed=seed, d=4)]
+    for cs in systems:
+        assert _edges(cs) == ref_graph_edges(cs)
+    assert ref_graph_edges(systems[1])          # some systems do have edges
+
+
+def _boundary_cap(rng):
+    """A rotated cap with rational cosine and sine, its rotation, its axis
+    length and its (cos, sin)."""
+    c, s = rng.choice(RATIONAL_ANGLES)
+    rot = _rotation(rng)
+    k = rng.randint(1, 4)
+    return _cap(_apply(rot, (F(k), F(0), F(0))), c, k, rng), rot, (c, s)
+
+
+def test_hyperplane_hits_on_boundary_points():
+    rng = random.Random(23)
+    built = [_boundary_cap(rng) for _ in range(40)]
+    cs = CapSystem(3, tuple(cap for cap, _, _ in built))
+    for k, (cap, rot, (c, s)) in enumerate(built):
+        # normals orthogonal to the boundary point rot(c, s, 0): the first
+        # great circle touches the cap there, the second crosses its boundary
+        tangent = _apply(rot, (-s, c, F(0)))
+        crossing = _apply(rot, (-s, c, F(rng.randint(1, 5), rng.randint(1, 5))))
+        for u in (tangent, crossing):
+            hits = hyperplane_hits(cs, u)
+            assert k in hits and hits == ref_hyperplane_hits(cs, u)
+    for t in range(20):
+        u = _trial_normal(3, t, 3)
+        assert hyperplane_hits(cs, u) == ref_hyperplane_hits(cs, u)
+
+
+def test_sampling_with_samples_on_boundaries():
+    # caps whose closed boundary passes exactly through sampled points:
+    # hemispheres orthogonal to the sample (both forms, both sides) and
+    # point caps at the sample
+    samples, seed = 60, 4
+    cap_list = []
+    for x in _ref_samples(samples, seed, 3)[::3]:
+        w = (x[1] - x[2], x[2] - x[0], x[0] - x[1])      # x cross (1, 1, 1)
+        cap_list += [SphericalCap(axis=w, cos_radius=F(0)),
+                     SphericalCap(axis=tuple(-c for c in w), offset=F(0)),
+                     SphericalCap(axis=tuple(2 * c for c in x), cos_radius=F(1))]
+    cs = CapSystem(3, tuple(cap_list))
+    got = ply_depth_sampling(cs, samples=samples, seed=seed)
+    assert got == ref_ply_depth_sampling(cs, samples, seed)
+    assert got[0] >= 3
+
+
+def test_extreme_caps_match_reference(monkeypatch):
+    # 1 - q below 1e-20, and axes whose components overflow or underflow
+    # float64: no float copy, so these caps are decided exactly
+    big, tiny = F(10) ** 400, F(1, 10 ** 400)
+    eps = F(1, 10 ** 21)
+    cap_list = [
+        SphericalCap(axis=(F(2), F(0), F(0)), cos_radius=F(4, 5)),
+        SphericalCap(axis=(F(2), F(1), F(2)), cos_radius=F(7, 10)),
+        SphericalCap(axis=(F(0), F(0), F(1)), cos_radius=1 - eps),
+        SphericalCap(axis=(F(0), F(3), F(4)), cos_radius=1 - eps),
+        SphericalCap(axis=(F(0), F(0), F(-5)), offset=5 * (1 - eps)),
+        SphericalCap(axis=(3 * big, 4 * big, F(0)), cos_radius=F(1, 2)),
+        SphericalCap(axis=(F(0), 5 * big, F(0)), offset=-4 * big),
+        SphericalCap(axis=(tiny, F(0), F(0)), cos_radius=F(1, 3)),
+        SphericalCap(axis=(F(0), 3 * tiny, 4 * tiny), cos_radius=F(-1, 5)),
+    ]
+    cs = CapSystem(3, tuple(cap_list))
+    assert np.isnan(cs.floats.axes[5:]).all()
+    assert not np.isnan(cs.floats.axes[:5]).any()
+    assert _edges(cs) == ref_graph_edges(cs)
+    normals = [_trial_normal(1, t, 3) for t in range(30)]
+    normals += [(big, F(1), F(0)), (tiny, F(0), F(1)), (F(0), F(0), F(1))]
+    for u in normals:
+        assert hyperplane_hits(cs, u) == ref_hyperplane_hits(cs, u)
+    assert ply_depth_sampling(cs, 1000, 5) == ref_ply_depth_sampling(cs, 1000, 5)
+    got = ply_depth(cs)
+    _all_exact(monkeypatch)
+    assert got == ply_depth(cs)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_filtered_predicates_match_exact_path(seed, monkeypatch):
+    cs = random_visibility_system(20, seed=seed)
+    normals = [_trial_normal(seed, t, 3) for t in range(10)]
+    got = (ply_depth(cs), ply_depth_sampling(cs, 500, seed), _edges(cs),
+           [hyperplane_hits(cs, u) for u in normals])
+    _all_exact(monkeypatch)
+    assert got == (ply_depth(cs), ply_depth_sampling(cs, 500, seed), _edges(cs),
+                   [hyperplane_hits(cs, u) for u in normals])
+
+
+def test_fallback_runs_only_near_zero(monkeypatch):
+    calls = []
+    sign = caps._sign
+
+    def counted(*args):
+        calls.append(args)
+        return sign(*args)
+    monkeypatch.setattr(caps, "_sign", counted)
+    rng = random.Random(24)
+    tangent = 0
+    while tangent < 20:
+        cs = CapSystem(3, _tangent_pair(rng))
+        if cs.floats.cos.sum() <= 0.5:      # radii sum to about pi or more
+            continue
+        tangent += 1
+        before = len(calls)
+        assert cap_intersection_graph(cs).number_of_edges() == 1
+        assert len(calls) > before
+    calls.clear()
+    cs = near_uniform_system(125, seed=1)
+    assert cap_intersection_graph(cs).number_of_edges() == 0
+    assert len(calls) < cs.n_caps * (cs.n_caps - 1) // 2
+
+
+def test_sampling_rejects_no_samples():
+    cs = _octa_system()
+    for samples in (0, -5):
+        with pytest.raises(ParseError):
+            ply_depth_sampling(cs, samples=samples, seed=1)

@@ -196,6 +196,35 @@ def test_separator_rejects_zero_trials(tmp_path, capsys):
     assert rc == 1 and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("text", [
+    '{"dimension": 3, "caps": [{"cos_radius": "1/2"}]}',
+    '{"dimension": 3, "caps": [{"axis": "1", "cos_radius": "1/2"}]}',
+    '{"dimension": 3, "caps": [5]}',
+    '{"dimension": 3, "caps": 5}',
+    '{"dimension": 0, "caps": []}',
+    '{"dimension": -2, "caps": []}',
+    '{"dimension": "3", "caps": []}',
+    '{"dimension": 2.5, "caps": []}',
+    '{"dimension": true, "caps": []}',
+])
+@pytest.mark.parametrize("command", ["caps", "separator"])
+def test_malformed_cap_files_fail_cleanly(tmp_path, capsys, text, command):
+    capsfile = tmp_path / "caps.json"
+    capsfile.write_text(text)
+    rc = main([command, str(capsfile)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_sampling_rejects_fewer_than_one_sample(tmp_path, capsys, samples):
+    capsfile = tmp_path / "caps.json"
+    capsfile.write_text(serialize_caps_json(random_visibility_system(4, seed=1)))
+    rc = main(["caps", str(capsfile), "--ply", "sampling", "--samples", samples])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err.startswith("error:")
+
+
 def test_scribe_facets_of_cyclic_polytope(tmp_path, capsys):
     # the default C_4(6) has facets whose supporting hyperplanes all have
     # the center on the far side: every facet cuts and none avoids
