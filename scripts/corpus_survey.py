@@ -2,10 +2,13 @@
 """Survey inscribability and circumscribability over the built-in corpus.
 
 Prints one line per named map with graph statistics and the exact verdicts,
-and cross-checks every verdict pair against polar duality.
+and cross-checks every verdict pair against polar duality; exits 1 at the
+first map whose pair disagrees.
 
 Usage: python3 scripts/corpus_survey.py
 """
+
+import sys
 
 from polyscribe.corpus import CORPUS_NAMES, named_polytope
 from polyscribe.graphs import vertex_connectivity
@@ -25,10 +28,13 @@ def main():
         print(f"{name:<24} {m.n_vertices:>3} {len(m.edges):>3} "
               f"{m.n_faces:>3} {k:>4} {insc.answer.value:>12} "
               f"{circ.answer.value:>16}")
-        assert insc.answer == decide_circumscribable(dual_map(m)).answer
-        assert circ.answer == decide_inscribable(dual_map(m)).answer
+        if (insc.answer != decide_circumscribable(dual_map(m)).answer
+                or circ.answer != decide_inscribable(dual_map(m)).answer):
+            print(f"\nduality cross-check failed for {name}", file=sys.stderr)
+            return 1
     print("\nduality cross-check passed for all maps")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

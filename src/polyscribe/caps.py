@@ -165,6 +165,15 @@ def _floats(values):
     return _safe(np.array([_float(v) for v in values], dtype=float))
 
 
+def _pow2_scale(v) -> Fraction:
+    """A power of two k with max |v_i| * k in (1/2, 2), for a nonzero
+    rational vector.  Scaling by k brings the vector into float range, and
+    where its floats neither overflow nor underflow it changes no rounding:
+    float(c * k) == float(c) * k."""
+    top = max(abs(Fraction(c)) for c in v)
+    return Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
+
+
 def _unit_rows(m):
     """The rows of m scaled to unit length; a zero row, or one with an entry
     outside the safe range, becomes NaN."""
@@ -384,9 +393,11 @@ def ply_depth(cs: CapSystem):
         if nb > 0:
             raise DegenerateConfiguration("a boundary circle passes through a cap axis")
         if best is None or total > best[0]:
+            k = _pow2_scale(a)
+            root = math.sqrt(float(na * k * k))
             best = (total, {"kind": "axis", "cap": i,
                             "axis": format_vector(a),
-                            "approx": [float(c) / math.sqrt(float(na)) for c in a]})
+                            "approx": [float(c * k) / root for c in a]})
 
     # Pairwise boundary intersections: x = x0 +/- sqrt(rho) * n.
     for ii in range(len(reps)):
@@ -422,13 +433,14 @@ def ply_depth(cs: CapSystem):
                     raise DegenerateConfiguration(
                         "three boundary circles meet at a point")
                 if best is None or total > best[0]:
-                    rr = math.sqrt(float(rho))
+                    k = _pow2_scale(n)
+                    rr = math.sqrt(float(rho / (k * k)))
                     best = (total, {
                         "kind": "circle-intersection", "caps": [i, j],
                         "base": format_vector(x0),
                         "direction": format_vector(n),
                         "scale_sq": format_rational(rho), "sign": sgn,
-                        "approx": [float(r) + sgn * rr * float(d)
+                        "approx": [float(r) + sgn * rr * float(d * k)
                                    for r, d in zip(x0, n)]})
     return best
 

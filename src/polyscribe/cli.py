@@ -479,6 +479,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except BudgetExceeded as exc:
+        print(f"unknown: {exc}", file=sys.stderr)
+        return 2
     except PolyscribeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

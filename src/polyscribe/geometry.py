@@ -1,14 +1,18 @@
 """Exact geometric checks on realizations: sphere incidence, cut/avoid/tangent
 tests, (i,j)- and k-scribedness, inscribed cyclic constructions, k-sets.
 
-Every face question goes through one kernel, the point of an affine hull
-nearest the sphere center, found by an exact rational linear solve.  The
-minimum norm over a face enumerates the supports of that point among the
-face's vertices.  Avoidance enumerates active sets of other vertices: the
-least-norm normal of a hyperplane through the face and an active set is the
-nearest point scaled by the inverse of its squared norm.  When no hyperplane
-through the face has the polytope on the center's side, the face does not
-avoid the ball.  Face vertex counts are small; correctness is paramount.
+Every face question goes through one kernel per realization and sphere:
+the points, recentred at the sphere center and scaled to integer vectors,
+give one integer Gram matrix, and the point of an affine hull nearest the
+center is found from that matrix alone by an exact linear solve.  The kernel
+lives on the point configuration and solves each support once, so faces that
+share vertices or active sets share their solves.  The minimum norm over a
+face enumerates the supports of that point among the face's vertices.
+Avoidance enumerates active sets of other vertices: the least-norm normal of
+a hyperplane through the face and an active set is the nearest point scaled
+by the inverse of its squared norm.  When no hyperplane through the face has
+the polytope on the center's side, the face does not avoid the ball.  Face
+vertex counts are small; correctness is paramount.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import BudgetExceeded, ParseError
 from .hull import FaceLattice, enumerate_facets
-from .linalg import affine_rank, dot, norm_sq, solve_linear, vsub
+from .linalg import affine_rank, norm_sq, solve_linear, vsub
 from .points import PointConfiguration, SphereRef
 from .rationals import format_rational
 from .simplex import GE, LE, EQ, LinearProgram, solve_lp
@@ -39,54 +44,95 @@ def on_sphere_check(pc: PointConfiguration, s: SphereRef) -> list[bool]:
 
 # ------------------------------------------------------------- min-norm over face
 
-def _min_norm_candidate(verts, center, support):
-    """Stationary point of ||sum l_i v_i - center||^2 over the affine hull of
-    the supported vertices; returns (lambda over support, point, value) or None."""
-    vs = [verts[i] for i in support]
-    k = len(vs)
-    # Unknowns: l_1..l_k, mu.  Stationarity: v_i . (V l) - mu = v_i . c,
-    # plus sum l = 1.
-    rows = []
-    rhs = []
-    for vi in vs:
-        rows.append([dot(vi, vj) for vj in vs] + [Fraction(-1)])
-        rhs.append(dot(vi, center))
-    rows.append([Fraction(1)] * k + [Fraction(0)])
-    rhs.append(Fraction(1))
-    sol = solve_linear(rows, rhs)
-    if sol is None:
-        return None
-    lam = sol[:k]
-    x = tuple(sum((l * v[j] for l, v in zip(lam, vs)), Fraction(0))
-              for j in range(len(center)))
-    return lam, x, norm_sq(vsub(x, center))
+class _GramKernel:
+    """The face solves of one realization against one sphere, in integers.
+
+    Recentred at the sphere center and scaled by the common denominator D of
+    the recentred coordinates, the points are integer vectors w_i with Gram
+    matrix G = [w_i . w_j].  The point of aff(S) nearest the center is
+    sum_S lambda_i w_i / D, where G_S lambda = mu 1 and 1^T lambda = 1, and
+    mu / D^2 is its squared distance to the center.  Every system is
+    consistent (the nearest point exists); when G_S is singular lambda is
+    one of many solutions, but the point, and so mu, is unique.  Each
+    support is solved once."""
+
+    def __init__(self, pc: PointConfiguration, s: SphereRef):
+        shifted = [vsub(p, s.center) for p in pc.points]
+        den = lcm(*(c.denominator for p in shifted for c in p))
+        w = [[int(c * den) for c in p] for p in shifted]
+        self.gram = [[sum(a * b for a, b in zip(u, v)) for v in w] for u in w]
+        self.scale_sq = den * den
+        self._solved = {}
+        self._bounds = {}
+
+    def solve(self, support):
+        """(lambda, mu) for a sorted tuple of point indices."""
+        sol = self._solved.get(support)
+        if sol is None:
+            g = self.gram
+            rows = [[g[i][j] for j in support] + [-1] for i in support]
+            rows.append([1] * len(support) + [0])
+            x = solve_linear(rows, [0] * len(support) + [1])
+            if x is None:
+                raise RuntimeError(f"nearest-point system of {support} is inconsistent")
+            sol = self._solved[support] = (x[:-1], x[-1])
+        return sol
+
+    def bounds_polytope(self, support) -> bool:
+        """Does the hyperplane through aff(support) normal to its nearest
+        point x have every point u on the center's side, <x, w_u> <= mu?
+        Points of the support lie on it with equality."""
+        ok = self._bounds.get(support)
+        if ok is None:
+            lam, mu = self.solve(support)
+            den = lcm(mu.denominator, *(l.denominator for l in lam))
+            lam = [(i, int(l * den)) for i, l in zip(support, lam) if l]
+            top = int(mu * den)
+            ok = self._bounds[support] = all(
+                sum(l * row[i] for i, l in lam) <= top for row in self.gram)
+        return ok
+
+
+def _kernel(pc: PointConfiguration, s: SphereRef) -> _GramKernel:
+    kernel = pc._kernels.get(s)
+    if kernel is None:
+        kernel = pc._kernels[s] = _GramKernel(pc, s)
+    return kernel
 
 
 def min_norm_sq_over_face(pc: PointConfiguration, face, s: SphereRef):
     """Exact minimum of ||x - center||^2 over conv(face vertices), plus
-    whether some minimizer lies in the relative interior of the face."""
+    whether some minimizer lies in the relative interior of the face.
+
+    The minimizer x* is unique, and it is the nearest point of the affine
+    hull of some support with nonnegative coefficients; the least such
+    candidate is the minimum.  When that support is the whole face with
+    every coefficient positive, x* is in the relative interior; otherwise
+    an LP decides."""
     face = sorted(face)
     if not face:
         raise ValueError("a face needs at least one vertex")
     if len(face) > DEFAULT_ACTIVE_SET_BUDGET:
         raise BudgetExceeded("active-set enumeration", len(face), DEFAULT_ACTIVE_SET_BUDGET)
-    verts = [pc.points[i] for i in face]
-    k = len(verts)
+    kernel = _kernel(pc, s)
     best = None
-    for r in range(1, k + 1):
-        for support in combinations(range(k), r):
-            cand = _min_norm_candidate(verts, s.center, support)
-            if cand is None:
-                continue
-            lam, x, val = cand
+    for r in range(1, len(face) + 1):
+        for support in combinations(face, r):
+            lam, mu = kernel.solve(support)
             if any(l < 0 for l in lam):
                 continue
-            if best is None or val < best[1]:
-                best = (x, val)
-    x_star, value = best
-    location = RELATIVE_INTERIOR if _in_relative_interior(verts, x_star) \
-        else RELATIVE_BOUNDARY
-    return value, location
+            if best is None or mu < best[2]:
+                best = (support, lam, mu)
+    support, lam, mu = best
+    if len(support) == len(face) and all(l > 0 for l in lam):
+        location = RELATIVE_INTERIOR
+    else:
+        x_star = tuple(sum((l * pc.points[i][j] for i, l in zip(support, lam)), Fraction(0))
+                       for j in range(pc.dimension))
+        verts = [pc.points[i] for i in face]
+        location = RELATIVE_INTERIOR if _in_relative_interior(verts, x_star) \
+            else RELATIVE_BOUNDARY
+    return mu / kernel.scale_sq, location
 
 
 def _in_relative_interior(verts, x) -> bool:
@@ -136,31 +182,27 @@ def face_avoids(pc: PointConfiguration, face, s: SphereRef) -> bool:
     >= 1 side has the center strictly on the other.  The optimal a has the
     least norm among normals through the face and some active set W of
     other vertices; that a is x / ||x||^2 for x the point of aff(face + W)
-    nearest the center, and none exists when x is the center.  A candidate
-    depends only on the affine hull, so active sets beyond d - 1 - dim(face)
-    vertices add nothing.  The face avoids the ball iff some feasible
-    candidate has ||x||^2 >= radius_squared; with no feasible candidate the
-    polytope is never on the center's side, and the answer is NO.
+    nearest the center.  None exists when x is the center, and that
+    candidate's value 0 never reaches the radius.  A candidate depends only
+    on the affine hull, so active sets beyond d - 1 - dim(face) vertices add
+    nothing.  The face avoids the ball iff some feasible candidate has
+    ||x||^2 >= radius_squared; with no feasible candidate the polytope is
+    never on the center's side, and the answer is NO.
     """
     face = sorted(face)
     others = [i for i in range(pc.n_points) if i not in face]
     if len(others) > 2 * DEFAULT_KSET_MAX_POINTS:
         raise BudgetExceeded("active-set enumeration", len(others), 2 * DEFAULT_KSET_MAX_POINTS)
-    ineq = [vsub(pc.points[i], s.center) for i in others]
+    kernel = _kernel(pc, s)
     free = pc.dimension - affine_rank([pc.points[i] for i in face])
     best = None
     for r in range(free):
         for active in combinations(others, r):
-            cand = _min_norm_candidate(pc.points, s.center, face + list(active))
-            if cand is None or cand[2] == 0:
-                continue
-            _, x, value = cand
-            normal = vsub(x, s.center)
-            if any(dot(normal, u) > value for u in ineq):
-                continue
-            if best is None or value > best:
-                best = value
-    return best is not None and best >= s.radius_squared
+            support = tuple(sorted(face + list(active)))
+            _, mu = kernel.solve(support)
+            if kernel.bounds_polytope(support) and (best is None or mu > best):
+                best = mu
+    return best is not None and best >= s.radius_squared * kernel.scale_sq
 
 
 def face_tangent(pc: PointConfiguration, face, s: SphereRef) -> bool:

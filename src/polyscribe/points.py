@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError
@@ -27,6 +27,10 @@ class PointConfiguration:
     points: tuple[tuple[Fraction, ...], ...]
     sphere: SphereRef | None = None
     claimed_faces: tuple[frozenset[int], ...] | None = None
+    # Face-solve kernels of this realization by sphere, built by the first
+    # geometry face test against that sphere.
+    _kernels: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     def __post_init__(self):
         for p in self.points:

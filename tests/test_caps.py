@@ -585,3 +585,28 @@ def test_sampling_rejects_no_samples():
     for samples in (0, -5):
         with pytest.raises(ParseError):
             ply_depth_sampling(cs, samples=samples, seed=1)
+
+
+@pytest.mark.parametrize("scale", [F(1, 10 ** 400), F(10) ** 400])
+def test_ply_witness_of_extreme_axes(scale):
+    # the squared axis norm underflows or overflows float64; the witness
+    # floats come from the axis scaled by a power of two and never raise
+    cs = CapSystem(3, (SphericalCap(axis=(scale, F(0), F(0)), cos_radius=F(1, 3)),))
+    depth, witness = ply_depth(cs)
+    assert depth == 1 and witness["kind"] == "axis"
+    assert witness["approx"] == [1.0, 0.0, 0.0]
+    # two such caps: the circle-intersection direction has components near
+    # 10^-800 or 10^800
+    pair = CapSystem(3, (cs.caps[0], SphericalCap(axis=(F(0), scale, F(0)),
+                                                  cos_radius=F(1, 3))))
+    depth, witness = ply_depth(pair)
+    assert depth == 2 and witness["kind"] == "circle-intersection"
+    x, y, z = witness["approx"]
+    assert x == y == 1 / 3 and math.isclose(z, math.sqrt(F(7, 9)), rel_tol=1e-15)
+
+
+def test_ply_witness_floats_unscaled_in_range():
+    # in float range the power-of-two scaling changes no rounding
+    cap = SphericalCap(axis=(F(3), F(4), F(0)), cos_radius=F(1, 3))
+    _, witness = ply_depth(CapSystem(3, (cap,)))
+    assert witness["approx"] == [3.0 / math.sqrt(25.0), 4.0 / math.sqrt(25.0), 0.0]

@@ -236,3 +236,32 @@ def test_scribe_facets_of_cyclic_polytope(tmp_path, capsys):
     assert rc == 0 and rep["holds"] is False and len(rep["faces"]) == 9
     for face in rep["faces"]:
         assert (face["cuts"], face["avoids"], face["tangent"]) == (True, False, False)
+
+
+def test_budget_exhaustion_exits_two(tmp_path, capsys):
+    # C_4(13) is past the facet-enumeration limit of 12 points: scribe, and
+    # check with claimed facets, answer UNKNOWN with exit 2, not an error
+    from itertools import combinations
+
+    from polyscribe.points import (PointConfiguration, parse_points_json,
+                                   serialize_points_json)
+    pts = tmp_path / "c13.json"
+    assert run(capsys, "generate", "--family", "cyclic-trig", "--n", "13",
+               "--d", "4", "-o", str(pts))[0] == 0
+    rc = main(["scribe", str(pts), "--k", "0", "--json"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == ("unknown: facet enumeration: needs n=13, d=4, "
+                            "budget n<=12, d<=7\n")
+
+    def gale_even(s):
+        out = [i for i in range(13) if i not in s]
+        return all(sum(1 for x in s if a < x < b) % 2 == 0
+                   for a, b in combinations(out, 2))
+    pc = parse_points_json(pts.read_text())
+    facets = tuple(frozenset(s) for s in combinations(range(13), 4) if gale_even(s))
+    pts.write_text(serialize_points_json(
+        PointConfiguration(4, pc.points, pc.sphere, facets)))
+    rc = main(["check", str(pts), "--json"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err.startswith("unknown: facet enumeration")

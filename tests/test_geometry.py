@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyscribe import geometry
 from polyscribe.errors import ParseError
 from polyscribe.geometry import (RELATIVE_BOUNDARY, RELATIVE_INTERIOR,
+                                 _in_relative_interior, _kernel,
                                  check_ij_scribed, check_k_scribed, face_avoids,
                                  face_cuts, face_tangent, generate_cyclic_moment,
                                  generate_cyclic_trig, is_face, k_sets,
@@ -15,7 +17,7 @@ from polyscribe.geometry import (RELATIVE_BOUNDARY, RELATIVE_INTERIOR,
                                  verify_face_lattice)
 from polyscribe.errors import DegenerateSpan
 from polyscribe.hull import build_face_lattice, enumerate_facets
-from polyscribe.linalg import dot, norm_sq, solve_linear, vsub
+from polyscribe.linalg import affine_rank, dot, norm_sq, solve_linear, vsub
 from polyscribe.points import PointConfiguration, SphereRef
 
 
@@ -122,6 +124,156 @@ def test_face_avoids_matches_kkt_reference():
         # the face does not avoid the ball
         assert face_avoids(pc, face, pc.sphere) is bool(want), (pc.points, face)
     assert all(outcomes.values()), outcomes
+
+
+def ref_min_norm_candidate(verts, center, support):
+    """Reference: the stationarity system of ||sum l_i v_i - center||^2 over
+    the affine hull of the supported vertices, built from Fraction dot
+    products of the points; (lambda, point, value) or None."""
+    vs = [verts[i] for i in support]
+    k = len(vs)
+    rows = [[dot(vi, vj) for vj in vs] + [F(-1)] for vi in vs]
+    rhs = [dot(vi, center) for vi in vs]
+    rows.append([F(1)] * k + [F(0)])
+    rhs.append(F(1))
+    sol = solve_linear(rows, rhs)
+    if sol is None:
+        return None
+    lam = sol[:k]
+    x = tuple(sum((l * v[j] for l, v in zip(lam, vs)), F(0))
+              for j in range(len(center)))
+    return lam, x, norm_sq(vsub(x, center))
+
+
+def ref_min_norm_sq_over_face(pc, face, s):
+    """Reference: every support of the face, with x* re-checked by the
+    relative-interior LP; returns (value, location, x*)."""
+    verts = [pc.points[i] for i in sorted(face)]
+    best = None
+    for r in range(1, len(verts) + 1):
+        for support in combinations(range(len(verts)), r):
+            cand = ref_min_norm_candidate(verts, s.center, support)
+            if cand is None or any(l < 0 for l in cand[0]):
+                continue
+            if best is None or cand[2] < best[1]:
+                best = (cand[1], cand[2])
+    x_star, value = best
+    location = RELATIVE_INTERIOR if _in_relative_interior(verts, x_star) \
+        else RELATIVE_BOUNDARY
+    return value, location, x_star
+
+
+def ref_face_avoids(pc, face, s):
+    """Reference: the active-set enumeration of face_avoids on
+    ref_min_norm_candidate, with Fraction normals and points."""
+    face = sorted(face)
+    others = [i for i in range(pc.n_points) if i not in face]
+    ineq = [vsub(pc.points[i], s.center) for i in others]
+    free = pc.dimension - affine_rank([pc.points[i] for i in face])
+    best = None
+    for r in range(free):
+        for active in combinations(others, r):
+            cand = ref_min_norm_candidate(pc.points, s.center, face + list(active))
+            if cand is None or cand[2] == 0:
+                continue
+            _, x, value = cand
+            normal = vsub(x, s.center)
+            if any(dot(normal, u) > value for u in ineq):
+                continue
+            if best is None or value > best:
+                best = value
+    return best is not None and best >= s.radius_squared
+
+
+def random_rational_configuration(seed, center_outside):
+    """Eight rational points in R^3 with an off-centre sphere; with
+    center_outside the center lies beyond every point in x."""
+    rng = random.Random(seed)
+    pts = tuple(tuple(F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(3))
+                for _ in range(8))
+    if center_outside:
+        center = (F(rng.randint(13, 30), 2),) + tuple(F(rng.randint(-5, 5), 3)
+                                                      for _ in range(2))
+    else:
+        center = tuple(F(rng.randint(-9, 9), 5) for _ in range(3))
+    return PointConfiguration(3, pts, SphereRef(center, F(rng.randint(1, 40), 3)))
+
+
+def kernel_cases(cube_points):
+    configs = [generate_cyclic_trig(n, 4) for n in (5, 6, 7, 8)]
+    configs += [generate_cyclic_trig(n, 4, seeded_params(n, n)) for n in (5, 6, 7, 8)]
+    configs += [cube_points]
+    configs += [PointConfiguration(3, cube_points.points, SphereRef(c, r2))
+                for c, r2 in (((F(1, 3), F(-1, 2), F(0)), F(2)),
+                              ((F(5), F(1, 2), F(1, 7)), F(3, 2)))]
+    configs += [random_rational_configuration(seed, seed % 2 == 1) for seed in range(6)]
+    for pc in configs:
+        lattice = build_face_lattice(pc)
+        yield pc, [sorted(face) for rank in range(pc.dimension)
+                   for face in lattice.faces_of_rank(rank)]
+
+
+def test_face_kernel_matches_reference(cube_points):
+    dependent = outside = 0
+    for pc, faces in kernel_cases(cube_points):
+        s = pc.sphere
+        kernel = _kernel(pc, s)
+        outside += not _in_relative_interior(pc.points, s.center)
+        for face in faces:
+            value, location, x_star = ref_min_norm_sq_over_face(pc, face, s)
+            assert min_norm_sq_over_face(pc, face, s) == (value, location), (pc.points, face)
+            assert face_avoids(pc, face, s) == ref_face_avoids(pc, face, s), (pc.points, face)
+            # the minimizer is unique: the kernel's least nonnegative
+            # candidate is the reference's point
+            candidates = [(sup, *kernel.solve(sup)) for r in range(1, len(face) + 1)
+                          for sup in combinations(face, r)]
+            support, lam, _ = min((c for c in candidates if all(l >= 0 for l in c[1])),
+                                  key=lambda c: c[2])
+            assert tuple(sum((l * pc.points[i][j] for i, l in zip(support, lam)), F(0))
+                         for j in range(pc.dimension)) == x_star
+            dependent += len(face) > affine_rank([pc.points[i] for i in face]) + 1
+    assert dependent and outside
+
+
+def test_gram_kernel_on_dependent_supports(cube_points):
+    # every support of up to five points, so that most are affinely
+    # dependent and their Gram systems singular: the nearest point and its
+    # squared distance still match the Fraction reference
+    configs = [cube_points, random_rational_configuration(0, False),
+               random_rational_configuration(1, True)]
+    for pc in configs:
+        kernel = _kernel(pc, pc.sphere)
+        for r in range(1, 6):
+            for support in combinations(range(pc.n_points), r):
+                _, x, value = ref_min_norm_candidate(pc.points, pc.sphere.center, support)
+                lam, mu = kernel.solve(support)
+                assert mu / kernel.scale_sq == value
+                assert tuple(sum((l * pc.points[i][j] for i, l in zip(support, lam)), F(0))
+                             for j in range(pc.dimension)) == x
+
+
+def test_each_support_solved_once(monkeypatch):
+    pc = generate_cyclic_trig(7, 4)
+    lattice = build_face_lattice(pc)
+    calls, requests = [], []
+    solve, kernel_solve = geometry.solve_linear, geometry._GramKernel.solve
+
+    def counted(rows, rhs):
+        calls.append(rows)
+        return solve(rows, rhs)
+
+    def requested(self, support):
+        requests.append(support)
+        return kernel_solve(self, support)
+    monkeypatch.setattr(geometry, "solve_linear", counted)
+    monkeypatch.setattr(geometry._GramKernel, "solve", requested)
+    report = check_ij_scribed(pc, lattice, pc.sphere, 1, 2)
+    assert not report.holds and report.per_face
+    assert len(calls) == len({frozenset(r) for r in requests}) < len(requests)
+    # a second query on the same realization reuses every solve
+    solved = len(calls)
+    check_ij_scribed(pc, lattice, pc.sphere, 1, 2)
+    assert len(calls) == solved
 
 
 def test_face_avoids_with_center_outside():
