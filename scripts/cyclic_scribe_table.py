@@ -8,7 +8,7 @@ sphere) and each (i,j)-scribedness (0 <= i <= j <= 3: every i-face avoids
 the ball and every j-face cuts it) holds.  All answers are exact.  n runs up
 to 12, the limit of facet enumeration.
 
-Usage: PYTHONPATH=src python3 scripts/cyclic_scribe_table.py [--n-min N] [--n-max N]
+Usage: PYTHONPATH=src python3 scripts/cyclic_scribe_table.py [--n-max N]
 """
 
 import argparse
@@ -34,14 +34,13 @@ def row(n: int) -> list[bool]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--n-min", type=int, default=D + 1)
     ap.add_argument("--n-max", type=int, default=DEFAULT_MAX_POINTS)
     args = ap.parse_args(argv)
-    if not D + 1 <= args.n_min <= args.n_max <= DEFAULT_MAX_POINTS:
-        ap.error(f"need {D + 1} <= n-min <= n-max <= {DEFAULT_MAX_POINTS}")
+    if not D + 1 <= args.n_max <= DEFAULT_MAX_POINTS:
+        ap.error(f"need {D + 1} <= n-max <= {DEFAULT_MAX_POINTS}")
     heads = [f"k={k}" for (k,) in K_QUERIES] + [f"({i},{j})" for i, j in IJ_QUERIES]
     print(f"{'n':>3} " + " ".join(f"{h:>5}" for h in heads))
-    for n in range(args.n_min, args.n_max + 1):
+    for n in range(D + 1, args.n_max + 1):
         answers = ["YES" if holds else "NO" for holds in row(n)]
         print(f"{n:>3} " + " ".join(f"{a:>5}" for a in answers))
     return 0

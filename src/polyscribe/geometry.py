@@ -2,12 +2,12 @@
 tests, (i,j)- and k-scribedness, inscribed cyclic constructions, k-sets.
 
 Every face question goes through one kernel per realization and sphere:
-the points, recentred at the sphere center and scaled to integer vectors,
-give one integer Gram matrix, and the point of an affine hull nearest the
-center is found from that matrix alone by an exact linear solve.  The kernel
-lives on the point configuration and solves each support once, so faces that
-share vertices or active sets share their solves.  The minimum norm over a
-face enumerates the supports of that point among the face's vertices.
+the points, recentred at the sphere center, give one exact Gram matrix, and
+the point of an affine hull nearest the center is found from that matrix
+alone by an exact linear solve.  The kernel lives on the point configuration
+and solves each support once, so faces that share vertices or active sets
+share their solves.  The minimum norm over a face enumerates the supports
+of that point among the face's vertices.
 Avoidance enumerates active sets of other vertices: the least-norm normal of
 a hyperplane through the face and an active set is the nearest point scaled
 by the inverse of its squared norm.  When no hyperplane through the face has
@@ -21,11 +21,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .errors import BudgetExceeded, ParseError
 from .hull import FaceLattice, enumerate_facets
-from .linalg import affine_rank, norm_sq, solve_linear, vsub
+from .linalg import affine_rank, dot, norm_sq, solve_linear, vsub
 from .points import PointConfiguration, SphereRef
 from .rationals import format_rational
 from .simplex import GE, LE, EQ, LinearProgram, solve_lp
@@ -45,23 +44,19 @@ def on_sphere_check(pc: PointConfiguration, s: SphereRef) -> list[bool]:
 # ------------------------------------------------------------- min-norm over face
 
 class _GramKernel:
-    """The face solves of one realization against one sphere, in integers.
+    """The face solves of one realization against one sphere.
 
-    Recentred at the sphere center and scaled by the common denominator D of
-    the recentred coordinates, the points are integer vectors w_i with Gram
+    Recentred at the sphere center, the points are vectors w_i with Gram
     matrix G = [w_i . w_j].  The point of aff(S) nearest the center is
-    sum_S lambda_i w_i / D, where G_S lambda = mu 1 and 1^T lambda = 1, and
-    mu / D^2 is its squared distance to the center.  Every system is
+    sum_S lambda_i w_i, where G_S lambda = mu 1 and 1^T lambda = 1, and mu
+    is its squared distance to the center.  Every system is
     consistent (the nearest point exists); when G_S is singular lambda is
     one of many solutions, but the point, and so mu, is unique.  Each
     support is solved once."""
 
     def __init__(self, pc: PointConfiguration, s: SphereRef):
-        shifted = [vsub(p, s.center) for p in pc.points]
-        den = lcm(*(c.denominator for p in shifted for c in p))
-        w = [[int(c * den) for c in p] for p in shifted]
-        self.gram = [[sum(a * b for a, b in zip(u, v)) for v in w] for u in w]
-        self.scale_sq = den * den
+        w = [vsub(p, s.center) for p in pc.points]
+        self.gram = [[dot(u, v) for v in w] for u in w]
         self._solved = {}
         self._bounds = {}
 
@@ -85,11 +80,9 @@ class _GramKernel:
         ok = self._bounds.get(support)
         if ok is None:
             lam, mu = self.solve(support)
-            den = lcm(mu.denominator, *(l.denominator for l in lam))
-            lam = [(i, int(l * den)) for i, l in zip(support, lam) if l]
-            top = int(mu * den)
+            lam = [(i, l) for i, l in zip(support, lam) if l]
             ok = self._bounds[support] = all(
-                sum(l * row[i] for i, l in lam) <= top for row in self.gram)
+                sum(l * row[i] for i, l in lam) <= mu for row in self.gram)
         return ok
 
 
@@ -132,7 +125,7 @@ def min_norm_sq_over_face(pc: PointConfiguration, face, s: SphereRef):
         verts = [pc.points[i] for i in face]
         location = RELATIVE_INTERIOR if _in_relative_interior(verts, x_star) \
             else RELATIVE_BOUNDARY
-    return mu / kernel.scale_sq, location
+    return mu, location
 
 
 def _in_relative_interior(verts, x) -> bool:
@@ -202,7 +195,7 @@ def face_avoids(pc: PointConfiguration, face, s: SphereRef) -> bool:
             _, mu = kernel.solve(support)
             if kernel.bounds_polytope(support) and (best is None or mu > best):
                 best = mu
-    return best is not None and best >= s.radius_squared * kernel.scale_sq
+    return best is not None and best >= s.radius_squared
 
 
 def face_tangent(pc: PointConfiguration, face, s: SphereRef) -> bool:
