@@ -25,8 +25,7 @@ from .geometry import (check_ij_scribed, check_k_scribed, face_avoids,
                        min_norm_sq_over_face, on_sphere_check,
                        verify_face_lattice)
 from .caps import (CapSystem, SphericalCap, cap_intersection_graph,
-                   centerpoint_normalize, near_uniform_system,
-                   parse_caps_json, ply_depth, ply_depth_sampling,
+                   near_uniform_system, parse_caps_json, ply_depth, ply_depth_sampling,
                    random_hyperplane_separator, random_visibility_system,
                    serialize_caps_json, visibility_cap, visibility_system)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -237,7 +237,6 @@ def _decide(values, bound, exact):
 class CapSystem:
     dimension: int
     caps: tuple[SphericalCap, ...]
-    normalized: str | None = None
 
     def __post_init__(self):
         for c in self.caps:
@@ -596,43 +595,6 @@ def random_visibility_system(n: int, seed: int = 0, d: int = 3) -> CapSystem:
             continue
         caps.append(visibility_cap(v))
     return CapSystem(d, tuple(caps))
-
-
-# -------------------------------------------------------- centerpoint heuristic
-
-def centerpoint_normalize(cs: CapSystem, iterations: int = 10,
-                          threshold: float = 0.05) -> CapSystem:
-    """HEURISTIC rebalancing of cap axes: repeatedly applies the
-    sphere-preserving dilation toward minus the mean axis direction until the
-    mean unit axis is shorter than the threshold.  Radii are kept, which a
-    true Möbius transform would not do; the output is flagged accordingly."""
-    axes = [np.array([float(c) for c in cap.axis]) for cap in cs.caps]
-    axes = [a / np.linalg.norm(a) for a in axes]
-    changed = False
-    for _ in range(iterations):
-        m = np.mean(axes, axis=0)
-        if np.linalg.norm(m) < threshold:
-            break
-        a = -0.5 * m
-        na2 = float(np.dot(a, a))
-        new_axes = []
-        for x in axes:
-            xa = x + a
-            y = (1 - na2) / float(np.dot(xa, xa)) * xa + a
-            new_axes.append(y / np.linalg.norm(y))
-        axes = new_axes
-        changed = True
-    if not changed:
-        return replace(cs, normalized=cs.normalized or "heuristic: unchanged")
-    caps = []
-    for cap, ax in zip(cs.caps, axes):
-        axis = tuple(Fraction(float(c)) for c in ax)
-        if cap.cos_radius is not None:
-            caps.append(SphericalCap(axis=axis, cos_radius=cap.cos_radius))
-        else:
-            c = cap.offset / math.sqrt(float(cap.norm_sq))
-            caps.append(SphericalCap(axis=axis, cos_radius=Fraction(float(c))))
-    return CapSystem(cs.dimension, tuple(caps), normalized="heuristic")
 
 
 # --------------------------------------------------------------------- JSON IO

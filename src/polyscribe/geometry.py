@@ -7,7 +7,10 @@ the point of an affine hull nearest the center is found from that matrix
 alone by an exact linear solve.  The kernel lives on the point configuration
 and solves each support once, so faces that share vertices or active sets
 share their solves.  The minimum norm over a face enumerates the supports
-of that point among the face's vertices.
+of that point among the face's vertices; the same solves locate it, since
+it lies in the face's relative interior iff the supports that represent it
+with positive coefficients cover every vertex of the face.  No face test
+solves an LP.
 Avoidance enumerates active sets of other vertices: the least-norm normal of
 a hyperplane through the face and an active set is the nearest point scaled
 by the inverse of its squared norm.  When no hyperplane through the face has
@@ -95,55 +98,37 @@ def _kernel(pc: PointConfiguration, s: SphereRef) -> _GramKernel:
 
 def min_norm_sq_over_face(pc: PointConfiguration, face, s: SphereRef):
     """Exact minimum of ||x - center||^2 over conv(face vertices), plus
-    whether some minimizer lies in the relative interior of the face.
+    whether the minimizer lies in the relative interior of the face.
 
     The minimizer x* is unique, and it is the nearest point of the affine
     hull of some support with nonnegative coefficients; the least such
-    candidate is the minimum.  When that support is the whole face with
-    every coefficient positive, x* is in the relative interior; otherwise
-    an LP decides."""
+    candidate value mu* is the minimum, and every candidate with value mu*
+    is x*.  x* is in the relative interior iff the supports with every
+    coefficient positive and value mu* cover the face (Wolfe 1976):
+    averaging those representations gives a strictly positive one.
+    Conversely, given a strictly positive one, a vertex of
+    {lambda >= 0, sum lambda = 1, sum lambda_i v_i = x*} that maximizes
+    lambda_v is an affinely independent support with x* in its relative
+    interior, so x* is that support's nearest affine point, solved with
+    lambda_v > 0."""
     face = sorted(face)
     if not face:
         raise ValueError("a face needs at least one vertex")
     if len(face) > DEFAULT_ACTIVE_SET_BUDGET:
         raise BudgetExceeded("active-set enumeration", len(face), DEFAULT_ACTIVE_SET_BUDGET)
     kernel = _kernel(pc, s)
-    best = None
+    best, covered = None, set()
     for r in range(1, len(face) + 1):
         for support in combinations(face, r):
             lam, mu = kernel.solve(support)
             if any(l < 0 for l in lam):
                 continue
-            if best is None or mu < best[2]:
-                best = (support, lam, mu)
-    support, lam, mu = best
-    if len(support) == len(face) and all(l > 0 for l in lam):
-        location = RELATIVE_INTERIOR
-    else:
-        x_star = tuple(sum((l * pc.points[i][j] for i, l in zip(support, lam)), Fraction(0))
-                       for j in range(pc.dimension))
-        verts = [pc.points[i] for i in face]
-        location = RELATIVE_INTERIOR if _in_relative_interior(verts, x_star) \
-            else RELATIVE_BOUNDARY
-    return mu, location
-
-
-def _in_relative_interior(verts, x) -> bool:
-    """Is x a strictly positive convex combination of the given vertices?
-    Decided by an exact margin LP."""
-    k = len(verts)
-    d = len(x)
-    lp = LinearProgram(k + 1, [Fraction(0)] * k + [Fraction(1)])  # max t
-    for j in range(d):
-        lp.add_row([v[j] for v in verts] + [Fraction(0)], EQ, x[j])
-    lp.add_row([Fraction(1)] * k + [Fraction(0)], EQ, Fraction(1))
-    for i in range(k):
-        row = [Fraction(0)] * (k + 1)
-        row[i] = Fraction(1)
-        row[k] = Fraction(-1)
-        lp.add_row(row, GE, Fraction(0))
-    res = solve_lp(lp)
-    return res.status == "optimal" and res.objective > 0
+            if best is None or mu < best:
+                best, covered = mu, set()
+            if mu == best and all(l > 0 for l in lam):
+                covered.update(support)
+    location = RELATIVE_INTERIOR if len(covered) == len(face) else RELATIVE_BOUNDARY
+    return best, location
 
 
 def _cuts(value, location, s: SphereRef) -> bool:
@@ -216,12 +201,21 @@ class ScribeReport:
                            "faces": self.per_face}, indent=1) + "\n"
 
 
-def _face_status(pc, face, s):
-    value, location = min_norm_sq_over_face(pc, face, s)
-    avoids = face_avoids(pc, face, s)
-    return {"face": sorted(face), "cuts": _cuts(value, location, s),
-            "avoids": avoids, "tangent": _tangent(avoids, value, s),
-            "min_norm_sq": format_rational(value), "minimizer": location}
+def _scribe_report(pc, lattice, s, query, required) -> ScribeReport:
+    """Every face of each (rank, key) pair must have its status key true."""
+    report = ScribeReport(query, True)
+    for rank, key in required:
+        for f in lattice.faces_of_rank(rank):
+            value, location = min_norm_sq_over_face(pc, f, s)
+            avoids = face_avoids(pc, f, s)
+            st = {"face": sorted(f), "cuts": _cuts(value, location, s),
+                  "avoids": avoids, "tangent": _tangent(avoids, value, s),
+                  "min_norm_sq": format_rational(value), "minimizer": location,
+                  "rank": rank}
+            report.per_face.append(st)
+            if not st[key]:
+                report.holds = False
+    return report
 
 
 def check_ij_scribed(pc: PointConfiguration, lattice: FaceLattice, s: SphereRef,
@@ -229,20 +223,8 @@ def check_ij_scribed(pc: PointConfiguration, lattice: FaceLattice, s: SphereRef,
     """All i-faces avoid the ball and all j-faces cut it.  Proper faces only."""
     if not 0 <= i <= j <= lattice.dimension - 1:
         raise ParseError(f"need 0 <= i <= j <= d-1, got i={i}, j={j}")
-    report = ScribeReport(f"({i},{j})-scribed", True)
-    for f in lattice.faces_of_rank(i):
-        st = _face_status(pc, f, s)
-        st["rank"] = i
-        report.per_face.append(st)
-        if not st["avoids"]:
-            report.holds = False
-    for f in lattice.faces_of_rank(j):
-        st = _face_status(pc, f, s)
-        st["rank"] = j
-        report.per_face.append(st)
-        if not st["cuts"]:
-            report.holds = False
-    return report
+    return _scribe_report(pc, lattice, s, f"({i},{j})-scribed",
+                          ((i, "avoids"), (j, "cuts")))
 
 
 def check_k_scribed(pc: PointConfiguration, lattice: FaceLattice, s: SphereRef,
@@ -250,14 +232,7 @@ def check_k_scribed(pc: PointConfiguration, lattice: FaceLattice, s: SphereRef,
     """All k-faces tangent to the sphere (0 = inscribed, d-1 = circumscribed)."""
     if not 0 <= k <= lattice.dimension - 1:
         raise ParseError(f"need 0 <= k <= d-1, got k={k}")
-    report = ScribeReport(f"{k}-scribed", True)
-    for f in lattice.faces_of_rank(k):
-        st = _face_status(pc, f, s)
-        st["rank"] = k
-        report.per_face.append(st)
-        if not st["tangent"]:
-            report.holds = False
-    return report
+    return _scribe_report(pc, lattice, s, f"{k}-scribed", ((k, "tangent"),))
 
 
 def verify_face_lattice(pc: PointConfiguration, claimed_facets):

@@ -2,17 +2,15 @@
 
 Facets are found by exhausting affinely independent d-subsets: the
 spanned hyperplane is a facet hyperplane iff all points lie in one closed
-halfspace.  Lower faces are derived by intersecting facets.  Deliberately
-not an incremental hull: desk scale, exact arithmetic, simplest correct
-method.
+halfspace.  Lower faces are the intersections of facets, grouped by rank.
+Deliberately not an incremental hull: desk scale, exact arithmetic,
+simplest correct method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from .errors import BudgetExceeded, DegenerateSpan
 from .linalg import affine_rank, dot, nullspace, vsub
@@ -24,11 +22,10 @@ DEFAULT_MAX_DIM = 7
 
 @dataclass(frozen=True)
 class FaceLattice:
-    """Faces of ranks 0..d-1 as vertex-index sets, with cover incidences."""
+    """Faces of ranks 0..d-1 as vertex-index sets."""
 
     dimension: int
     faces_by_rank: tuple[tuple[frozenset[int], ...], ...]
-    incidences: tuple[tuple[tuple[int, int], ...], ...]  # rank k: (k-face idx, (k+1)-face idx)
 
     @property
     def facets(self) -> tuple[frozenset[int], ...]:
@@ -36,14 +33,6 @@ class FaceLattice:
 
     def faces_of_rank(self, k: int) -> tuple[frozenset[int], ...]:
         return self.faces_by_rank[k]
-
-    def ridges_in_two_facets(self) -> bool:
-        if self.dimension < 2:
-            return True
-        counts = {i: 0 for i in range(len(self.faces_by_rank[self.dimension - 2]))}
-        for ri, _ in self.incidences[self.dimension - 2]:
-            counts[ri] += 1
-        return all(c == 2 for c in counts.values())
 
 
 def facet_hyperplane(points, subset):
@@ -70,8 +59,6 @@ def enumerate_facets(pc: PointConfiguration) -> list[frozenset[int]]:
                              f"n<={DEFAULT_MAX_POINTS}, d<={DEFAULT_MAX_DIM}")
     if affine_rank(pc.points) != d:
         raise DegenerateSpan(f"points span affine dimension {affine_rank(pc.points)}, not {d}")
-    if comb(n, d) > 200_000:
-        raise BudgetExceeded("facet enumeration", comb(n, d), 200_000)
 
     facets: set[frozenset[int]] = set()
     for subset in combinations(range(n), d):
@@ -123,13 +110,4 @@ def build_face_lattice(pc: PointConfiguration) -> FaceLattice:
     # of faces is a face), so no filtering is needed.
     for r in range(d):
         by_rank[r].sort(key=sorted)
-    incidences = []
-    for r in range(d - 1):
-        pairs = []
-        for i, f in enumerate(by_rank[r]):
-            for j, g in enumerate(by_rank[r + 1]):
-                if f < g:
-                    pairs.append((i, j))
-        incidences.append(tuple(pairs))
-    incidences.append(tuple())
-    return FaceLattice(d, tuple(tuple(r) for r in by_rank), tuple(incidences))
+    return FaceLattice(d, tuple(tuple(r) for r in by_rank))

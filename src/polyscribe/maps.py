@@ -79,16 +79,19 @@ def validate_map(raw, name: str | None = None) -> CombinatorialMap:
     faces = raw["faces"]
     if not isinstance(n, int) or n < 4:
         raise ParseError(f"vertex count must be an integer >= 4, got {n!r}")
+    if not isinstance(faces, (list, tuple)) or not all(isinstance(f, (list, tuple))
+                                                       for f in faces):
+        raise ParseError("'faces' must be a list of vertex lists")
     name = name or raw.get("name")
 
     for i, f in enumerate(faces):
         if len(f) < 3:
             raise DegenerateFace(i, f, "fewer than 3 vertices")
+        for v in f:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                raise DegenerateFace(i, f, f"vertex {v} out of range [0, {n})")
         if len(set(f)) != len(f):
             raise DegenerateFace(i, f, "repeated vertex")
-        for v in f:
-            if not isinstance(v, int) or not 0 <= v < n:
-                raise DegenerateFace(i, f, f"vertex {v} out of range [0, {n})")
 
     edge_count = Counter()
     for f in faces:
@@ -111,8 +114,12 @@ def validate_map(raw, name: str | None = None) -> CombinatorialMap:
         cut = nx.minimum_node_cut(g)
         raise NotThreeConnected(k, cut)
 
-    if "edges" in raw and raw["edges"] is not None:
-        given = {frozenset(map(int, ed)) for ed in raw["edges"]}
+    edges = raw.get("edges")
+    if edges is not None:
+        if not isinstance(edges, list) or not all(
+                isinstance(ed, list) and all(isinstance(v, int) for v in ed) for ed in edges):
+            raise ParseError("'edges' must be a list of vertex lists")
+        given = {frozenset(ed) for ed in edges}
         if given != set(edge_count):
             raise ParseError("explicit edge list does not match edges derived from faces")
 

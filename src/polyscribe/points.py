@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError
-from .linalg import norm_sq, vsub
 from .rationals import format_rational, format_vector, parse_rational, parse_vector
 
 
@@ -50,10 +49,6 @@ class PointConfiguration:
     def n_points(self) -> int:
         return len(self.points)
 
-    def dist_sq_to_center(self, i: int) -> Fraction:
-        c = self.sphere.center if self.sphere else (Fraction(0),) * self.dimension
-        return norm_sq(vsub(self.points[i], c))
-
 
 def parse_points_json(text: str) -> PointConfiguration:
     try:
@@ -63,14 +58,25 @@ def parse_points_json(text: str) -> PointConfiguration:
     if not isinstance(raw, dict) or "dimension" not in raw or "coordinates" not in raw:
         raise ParseError("point file must contain 'dimension' and 'coordinates'")
     d = raw["dimension"]
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise ParseError(f"'dimension' must be a positive integer, got {d!r}")
+    if not isinstance(raw["coordinates"], list):
+        raise ParseError("'coordinates' must be a list")
     pts = tuple(parse_vector(row) for row in raw["coordinates"])
     sphere = None
-    if raw.get("sphere") is not None:
-        s = raw["sphere"]
+    s = raw.get("sphere")
+    if s is not None:
+        if not isinstance(s, dict) or "center" not in s or "radius_squared" not in s:
+            raise ParseError("'sphere' must contain 'center' and 'radius_squared'")
         sphere = SphereRef(parse_vector(s["center"]), parse_rational(s["radius_squared"]))
     claimed = None
-    if raw.get("faces") is not None:
-        claimed = tuple(frozenset(map(int, f)) for f in raw["faces"])
+    faces = raw.get("faces")
+    if faces is not None:
+        if not (isinstance(faces, list) and all(
+                isinstance(f, list) and all(isinstance(i, int) and not isinstance(i, bool)
+                                            for i in f) for f in faces)):
+            raise ParseError("'faces' must be a list of lists of point indices")
+        claimed = tuple(frozenset(f) for f in faces)
     return PointConfiguration(d, pts, sphere, claimed)
 
 

@@ -38,6 +38,9 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_vector(items) -> tuple[Fraction, ...]:
+    """Parse a JSON list of rational strings."""
+    if not isinstance(items, list):
+        raise ParseError(f"not a list of rational strings: {items!r}")
     return tuple(parse_rational(x) for x in items)
 
 

@@ -45,10 +45,6 @@ class Verdict:
     note: str = ""
 
     @property
-    def is_yes(self):
-        return self.answer is Answer.YES
-
-    @property
     def is_no(self):
         return self.answer is Answer.NO
 

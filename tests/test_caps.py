@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from polyscribe import caps
 from polyscribe.caps import (CapSystem, SphericalCap, _caps_overlap, _sign,
-                             _trial_normal, cap_intersection_graph, centerpoint_normalize,
+                             _trial_normal, cap_intersection_graph,
                              hyperplane_hits, near_uniform_system,
                              parse_caps_json, ply_depth, ply_depth_sampling,
                              random_hyperplane_separator,
@@ -154,26 +154,6 @@ def test_clustered_tiny_caps_rarely_hit():
 def test_near_uniform_disjoint():
     cs = near_uniform_system(60, seed=5)
     assert cap_intersection_graph(cs).number_of_edges() == 0
-
-
-def test_centerpoint_normalize():
-    cs = _octa_system()
-    assert centerpoint_normalize(cs).normalized == "heuristic: unchanged"
-    # clustered system gets rebalanced
-    caps = tuple(SphericalCap(axis=(F(k, 10), F(1, 10), F(1)), cos_radius=F(9, 10))
-                 for k in range(5))
-    skew = CapSystem(3, caps)
-    out = centerpoint_normalize(skew, iterations=25)
-    assert out.normalized == "heuristic"
-
-    def mean_norm(sys_):
-        import numpy as np
-        axes = [np.array([float(c) for c in cap.axis]) for cap in sys_.caps]
-        axes = [a / np.linalg.norm(a) for a in axes]
-        return float(np.linalg.norm(np.mean(axes, axis=0)))
-
-    assert mean_norm(out) < mean_norm(skew)
-    assert centerpoint_normalize(skew, iterations=0).caps == skew.caps
 
 
 def test_json_roundtrip():

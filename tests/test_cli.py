@@ -216,6 +216,39 @@ def test_malformed_cap_files_fail_cleanly(tmp_path, capsys, text, command):
     assert rc == 1 and captured.err.startswith("error:")
 
 
+TETRA_POINTS = ('"dimension": 3, "coordinates": [["1", "1", "1"], ["1", "-1", "-1"], '
+                '["-1", "1", "-1"], ["-1", "-1", "1"]]')
+
+
+@pytest.mark.parametrize("command, text", [
+    (command, "{" + TETRA_POINTS + extra + "}") for command in ("check", "scribe")
+    for extra in (', "sphere": {"center": ["0", "0", "0"]}',
+                  ', "sphere": 3',
+                  ', "faces": [["x", 1, 2]]',
+                  ', "faces": 7',
+                  ', "faces": [5]')
+] + [
+    ("check", '{"dimension": 3, "coordinates": 5}'),
+    ("check", '{"dimension": 3, "coordinates": [5]}'),
+    ("check", '{"dimension": "3", "coordinates": []}'),
+    ("analyze", '{"vertices": 4, "faces": 5}'),
+    ("analyze", '{"vertices": 4, "faces": [5, [0, 1, 3], [0, 2, 3], [1, 2, 3]]}'),
+    ("analyze", '{"vertices": 4, "faces": [[[0], 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}'),
+    ("analyze", '{"vertices": 4, "faces": [[0, true, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}'),
+    ("analyze", '{"vertices": 4, "faces": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], '
+                '"edges": 5}'),
+    ("analyze", '{"vertices": 4, "faces": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], '
+                '"edges": [["x", 1]]}'),
+])
+def test_malformed_point_and_map_files_fail_cleanly(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = [command, str(path)] + (["--k", "0"] if command == "scribe" else [])
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err.startswith("error:")
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_sampling_rejects_fewer_than_one_sample(tmp_path, capsys, samples):
     capsfile = tmp_path / "caps.json"

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from polyscribe import geometry
 from polyscribe.errors import ParseError
-from polyscribe.geometry import (RELATIVE_BOUNDARY, RELATIVE_INTERIOR,
-                                 _in_relative_interior, _kernel,
+from polyscribe.geometry import (RELATIVE_BOUNDARY, RELATIVE_INTERIOR, _kernel,
                                  check_ij_scribed, check_k_scribed, face_avoids,
                                  face_cuts, face_tangent, generate_cyclic_moment,
                                  generate_cyclic_trig, is_face, k_sets,
@@ -19,6 +18,7 @@ from polyscribe.errors import DegenerateSpan
 from polyscribe.hull import build_face_lattice, enumerate_facets
 from polyscribe.linalg import affine_rank, dot, norm_sq, solve_linear, vsub
 from polyscribe.points import PointConfiguration, SphereRef
+from polyscribe.simplex import EQ, GE, LinearProgram, solve_lp
 
 
 def gale_even(n, subset):
@@ -145,6 +145,22 @@ def ref_min_norm_candidate(verts, center, support):
     return lam, x, norm_sq(vsub(x, center))
 
 
+def ref_in_relative_interior(verts, x) -> bool:
+    """Reference: is x a strictly positive convex combination of the given
+    vertices?  Decided by an exact margin LP, max t over lambda >= t."""
+    k = len(verts)
+    lp = LinearProgram(k + 1, [F(0)] * k + [F(1)])
+    for j in range(len(x)):
+        lp.add_row([v[j] for v in verts] + [F(0)], EQ, x[j])
+    lp.add_row([F(1)] * k + [F(0)], EQ, F(1))
+    for i in range(k):
+        row = [F(0)] * (k + 1)
+        row[i], row[k] = F(1), F(-1)
+        lp.add_row(row, GE, F(0))
+    res = solve_lp(lp)
+    return res.status == "optimal" and res.objective > 0
+
+
 def ref_min_norm_sq_over_face(pc, face, s):
     """Reference: every support of the face, with x* re-checked by the
     relative-interior LP; returns (value, location, x*)."""
@@ -158,7 +174,7 @@ def ref_min_norm_sq_over_face(pc, face, s):
             if best is None or cand[2] < best[1]:
                 best = (cand[1], cand[2])
     x_star, value = best
-    location = RELATIVE_INTERIOR if _in_relative_interior(verts, x_star) \
+    location = RELATIVE_INTERIOR if ref_in_relative_interior(verts, x_star) \
         else RELATIVE_BOUNDARY
     return value, location, x_star
 
@@ -218,7 +234,7 @@ def test_face_kernel_matches_reference(cube_points):
     for pc, faces in kernel_cases(cube_points):
         s = pc.sphere
         kernel = _kernel(pc, s)
-        outside += not _in_relative_interior(pc.points, s.center)
+        outside += not ref_in_relative_interior(pc.points, s.center)
         for face in faces:
             value, location, x_star = ref_min_norm_sq_over_face(pc, face, s)
             assert min_norm_sq_over_face(pc, face, s) == (value, location), (pc.points, face)
@@ -274,6 +290,26 @@ def test_each_support_solved_once(monkeypatch):
     solved = len(calls)
     check_ij_scribed(pc, lattice, pc.sphere, 1, 2)
     assert len(calls) == solved
+
+
+def test_scribe_queries_solve_no_lp(monkeypatch, cube_points):
+    # the minimizer of each face is located from the support solves alone;
+    # the cube's square faces have affinely dependent vertex sets, and the
+    # off-centre sphere puts some minimizers on face boundaries
+    def no_lp(lp):
+        raise AssertionError("a face test solved an LP")
+    monkeypatch.setattr(geometry, "solve_lp", no_lp)
+    off_centre = PointConfiguration(3, cube_points.points,
+                                    SphereRef((F(5), F(1, 2), F(1, 7)), F(3, 2)))
+    for pc in (cube_points, off_centre, generate_cyclic_trig(7, 4)):
+        lattice = build_face_lattice(pc)
+        d = pc.dimension
+        reports = [check_k_scribed(pc, lattice, pc.sphere, k) for k in range(d)]
+        reports += [check_ij_scribed(pc, lattice, pc.sphere, i, j)
+                    for i in range(d) for j in range(i, d)]
+        if pc is off_centre:
+            assert {st["minimizer"] for r in reports for st in r.per_face} \
+                == {RELATIVE_INTERIOR, RELATIVE_BOUNDARY}
 
 
 def test_face_avoids_with_center_outside():

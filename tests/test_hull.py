@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction as F
-from itertools import product
 
 import pytest
 
@@ -22,7 +21,8 @@ def test_tetra_facets(tetra_points):
 def test_cube_lattice(cube_points):
     lat = build_face_lattice(cube_points)
     assert [len(r) for r in lat.faces_by_rank] == [8, 12, 6]
-    assert lat.ridges_in_two_facets()
+    for ridge in lat.faces_of_rank(1):
+        assert sum(ridge < f for f in lat.facets) == 2
     assert all(len(f) == 4 for f in lat.facets)
 
 

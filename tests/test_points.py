@@ -27,7 +27,3 @@ def test_validation():
         parse_points_json("{}")
     with pytest.raises(ParseError):
         parse_points_json("not json")
-
-
-def test_dist_sq(tetra_points):
-    assert all(tetra_points.dist_sq_to_center(i) == 3 for i in range(4))
