@@ -30,7 +30,6 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from typing import NamedTuple
 
 import networkx as nx
@@ -38,7 +37,7 @@ import numpy as np
 
 from .errors import (DegenerateConfiguration, MonteCarloOnly, ParseError,
                      PointInsideBall)
-from .linalg import dot, norm_sq
+from .linalg import dot, norm_sq, scaled
 from .points import PointConfiguration
 from .rationals import format_rational, format_vector, parse_rational, parse_vector
 
@@ -318,12 +317,9 @@ def cap_intersection_graph(cs: CapSystem) -> nx.Graph:
 
 def _canonical_ray(v):
     """Primitive integer direction of a rational vector, preserving sign."""
-    denom = math.lcm(*(c.denominator for c in v))
-    ints = [int(c * denom) for c in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    *nums, _ = scaled(v)
+    g = math.gcd(*nums)
+    return tuple(x // g for x in nums)
 
 
 def _identity_key(cap: SphericalCap):

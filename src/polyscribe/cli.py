@@ -73,6 +73,18 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str | None, text: str) -> None:
+    """Write text to path, or to stdout without a path."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+    sys.stdout.write(f"wrote {path}\n")
+
+
 # ------------------------------------------------------------------ analyze
 
 def _run_analysis(m, path_text, path, budget_subsets,
@@ -274,11 +286,7 @@ def cmd_generate(args) -> int:
     else:
         raise ParseError(f"unknown family {fam!r}; choose cyclic-trig, "
                          f"cyclic-moment, stacked, or one of {', '.join(corpus.CORPUS_NAMES)}")
-    if args.output:
-        Path(args.output).write_text(out)
-        sys.stdout.write(f"wrote {args.output}\n")
-    else:
-        sys.stdout.write(out)
+    _write(args.output, out)
     return 0
 
 
@@ -347,14 +355,10 @@ def cmd_scribe(args) -> int:
 def cmd_caps(args) -> int:
     if args.from_points:
         pc = points.parse_points_json(_read(args.from_points))
-        cs = caps_mod.visibility_system(pc)
-        out = caps_mod.serialize_caps_json(cs)
-        if args.output:
-            Path(args.output).write_text(out)
-            sys.stdout.write(f"wrote {args.output}\n")
-        else:
-            sys.stdout.write(out)
+        _write(args.output, caps_mod.serialize_caps_json(caps_mod.visibility_system(pc)))
         return 0
+    if args.capfile is None:
+        raise ParseError("caps needs a CAPFILE or --from-points")
     text = _read(args.capfile)
     cs = caps_mod.parse_caps_json(text)
     g = caps_mod.cap_intersection_graph(cs)

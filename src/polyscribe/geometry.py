@@ -269,6 +269,8 @@ def generate_cyclic_trig(n: int, d: int, params=None) -> PointConfiguration:
     params = sorted(Fraction(u) for u in params)
     if len(set(params)) != len(params):
         raise ParseError("parameters must be distinct")
+    if len(params) != n:
+        raise ParseError(f"need {n} parameters, got {len(params)}")
     pts = []
     for u in params:
         den = 1 + u * u

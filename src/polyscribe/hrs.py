@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import lcm
 
 import networkx as nx
 
 from .errors import BudgetExceeded
 from .graphs import DEFAULT_HAMILTON_BUDGET, hamiltonian_cycle, hamiltonian_certificate
+from .linalg import scaled
 from .maps import CombinatorialMap, dual_map
 from .rationals import format_rational, parse_rational
 from .simplex import GE, LE, EQ, LinearProgram, solve_lp, verify_dual_bound, verify_farkas
@@ -48,9 +48,6 @@ def _face_edges(face) -> frozenset[tuple[int, int]]:
 class Circuit:
     edges: frozenset[tuple[int, int]]
     facial: bool
-
-    def __len__(self):
-        return len(self.edges)
 
 
 def enumerate_simple_circuits(m: CombinatorialMap,
@@ -76,17 +73,17 @@ def enumerate_simple_circuits(m: CombinatorialMap,
 @dataclass
 class MarginSystem:
     """The max-margin LP data: substitute w_e = v_e + t with v_e >= 0 so all
-    structural variables are nonnegative (t split into t+ - t-)."""
+    structural variables are nonnegative (t split into t+ - t-).  Every
+    face row sums to 2."""
 
     edges: list[tuple[int, int]]
     face_edge_lists: list[list[tuple[int, int]]]
-    face_rhs: list[Fraction]
 
     @classmethod
     def from_map(cls, m: CombinatorialMap):
         edges = sorted(edge_key(e) for e in m.edges)
         fe = [sorted(_face_edges(f)) for f in m.faces]
-        return cls(edges, fe, [Fraction(2)] * len(fe))
+        return cls(edges, fe)
 
     def build_lp(self, circuits: list[Circuit]) -> LinearProgram:
         ne = len(self.edges)
@@ -96,13 +93,13 @@ class MarginSystem:
         obj[ne] = Fraction(1)
         obj[ne + 1] = Fraction(-1)
         lp = LinearProgram(ncols, obj)
-        for fe, rhs in zip(self.face_edge_lists, self.face_rhs):
+        for fe in self.face_edge_lists:
             row = [Fraction(0)] * ncols
             for e in fe:
                 row[idx[e]] = Fraction(1)
             row[ne] = Fraction(len(fe))
             row[ne + 1] = Fraction(-len(fe))
-            lp.add_row(row, EQ, Fraction(rhs))
+            lp.add_row(row, EQ, Fraction(2))
         for e in self.edges:
             row = [Fraction(0)] * ncols
             row[idx[e]] = Fraction(1)
@@ -125,7 +122,6 @@ class MarginOutcome:
     t_star: Fraction | None           # None is the -infinity sentinel
     weights: dict | None              # edge -> Fraction, w_e = v_e + t
     active_circuits: list[Circuit]
-    lp: LinearProgram | None
     duals: list[Fraction] | None
     farkas: list[Fraction] | None = None
 
@@ -137,17 +133,16 @@ def _cutting_planes(system: MarginSystem, separate) -> MarginOutcome:
     ne = len(system.edges)
     active: list[Circuit] = []
     while True:
-        lp = system.build_lp(active)
-        res = solve_lp(lp)
+        res = solve_lp(system.build_lp(active))
         if res.status == "infeasible":
-            return MarginOutcome("infeasible", None, None, active, lp, None, res.farkas)
+            return MarginOutcome("infeasible", None, None, active, None, res.farkas)
         if res.status != "optimal":
             raise RuntimeError(f"margin LP is {res.status}; t is bounded by the weight box")
         t = res.x[ne] - res.x[ne + 1]
         w = {e: res.x[i] + t for i, e in enumerate(system.edges)}
         violated = separate(w, t)
         if violated is None:
-            return MarginOutcome("optimal", t, w, active, lp, res.duals)
+            return MarginOutcome("optimal", t, w, active, res.duals)
         active.append(violated)
 
 
@@ -210,8 +205,8 @@ def _min_nonfacial_circuit(m: CombinatorialMap, w: dict) -> tuple[Circuit, Fract
     """
     if any(x <= 0 for x in w.values()):
         raise ValueError("the separation oracle needs strictly positive weights")
-    scale = lcm(*(x.denominator for x in w.values()))
-    iw = {e: x.numerator * (scale // x.denominator) for e, x in w.items()}
+    *nums, scale = scaled(w.values())
+    iw = dict(zip(w, nums))
     adj: dict = {}
     for (u, v), k in iw.items():
         adj.setdefault(u, {})[v] = k

@@ -3,15 +3,17 @@
 Problems are maximizations over x >= 0 with rows of relation "<=", ">="
 or "=".  The solver reports an exact optimum with primal solution and
 dual multipliers; on infeasibility it reports a Farkas-style witness.
-Everything is exact rational arithmetic (integer tableau rows over a
-common denominator); no floating point touches the decision path.
+Everything is exact rational arithmetic: the tableau is a list of
+`linalg` integer rows, pivoted by `linalg.pivot`, so no floating point
+touches the decision path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+
+from .linalg import eliminate, pivot, scaled, values
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -42,50 +44,13 @@ class LpResult:
     farkas: list[Fraction] | None = None       # infeasibility multipliers, same convention
 
 
-# Tableau rows (and z-rows) are lists of integers: numerators of the column
-# entries, then of the right-hand side, then last a positive common
-# denominator.  Integer arithmetic keeps every value exact and is much
-# cheaper than Fraction arithmetic; the values, and so every pivot choice,
-# are those of the rational tableau.
-
-def _scaled(values) -> list[int]:
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values] + [den]
-
-
-def _values(row) -> list[Fraction]:
-    return [Fraction(x, row[-1]) for x in row[:-1]]
-
-
-def _lowest(row):
-    g = gcd(*row)
-    return row if g == 1 else [x // g for x in row]
-
-
-def _eliminate(row, pr, c):
-    """row - row[c] * pr, where pr has value 1 in column c."""
-    p, f = pr[-1], row[c]
-    out = [a * p - f * b for a, b in zip(row, pr)]
-    out[-1] = row[-1] * p
-    return _lowest(out)
-
-
-def _pivot(tab, basis, r, c):
-    """Pivot on (r, c); rows with a zero in column c are left as they are."""
-    pr = tab[r][:-1] + [tab[r][c]]
-    if pr[-1] < 0:
-        pr = [-x for x in pr]
-    tab[r] = pr = _lowest(pr)
-    for i, row in enumerate(tab):
-        if i != r and row[c]:
-            tab[i] = _eliminate(row, pr, c)
-    basis[r] = c
-
+# Tableau rows and z-rows are `linalg` integer rows over the columns and the
+# right-hand side.
 
 def _reduce_against_basis(z, tab, basis):
     for i, bc in enumerate(basis):
         if z[bc]:
-            z = _eliminate(z, tab[i], bc)
+            z = eliminate(z, tab[i], bc)
     return z
 
 
@@ -115,8 +80,9 @@ def _run_simplex(tab, basis, obj, allowed):
                     leave, lb, la = i, b, a
         if leave is None:
             return "unbounded"
-        _pivot(tab, basis, leave, enter)
-        obj[:] = _eliminate(obj, tab[leave], enter)
+        pivot(tab, leave, enter)
+        basis[leave] = enter
+        obj[:] = eliminate(obj, tab[leave], enter)
 
 
 def solve_lp(lp: LinearProgram) -> LpResult:
@@ -149,20 +115,20 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     tab = []
     basis = [-1] * m
     for i, (a, rel, b) in enumerate(norm):
-        row = [Fraction(0)] * (cols + 1)
-        row[:n] = [Fraction(x) for x in a]
+        row = [0] * (cols + 1)
+        row[:n] = a
         if rel == LE:
-            row[slack_col[i]] = Fraction(1)
+            row[slack_col[i]] = 1
             basis[i] = slack_col[i]
         elif rel == GE:
-            row[slack_col[i]] = Fraction(-1)
-            row[art_col[i]] = Fraction(1)
+            row[slack_col[i]] = -1
+            row[art_col[i]] = 1
             basis[i] = art_col[i]
         else:
-            row[art_col[i]] = Fraction(1)
+            row[art_col[i]] = 1
             basis[i] = art_col[i]
-        row[-1] = Fraction(b)
-        tab.append(_scaled(row))
+        row[-1] = b
+        tab.append(scaled(row))
 
     artificials = {c for c in art_col if c is not None}
     allowed1 = [True] * cols
@@ -178,7 +144,7 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     if obj1[-2] != 0:
         # Infeasible; Farkas multipliers from the phase-1 z-row.  Artificial
         # columns carry phase-1 cost -1, so their z-row entries are y_i + 1.
-        y = _extract_duals(_values(obj1), slack_col, art_col, m, art_cost=Fraction(-1))
+        y = _extract_duals(values(obj1), slack_col, art_col, m, art_cost=Fraction(-1))
         y = [-yi if fl else yi for yi, fl in zip(y, flipped)]
         return LpResult("infeasible", farkas=y)
 
@@ -191,12 +157,13 @@ def solve_lp(lp: LinearProgram) -> LpResult:
             c = next((j for j in range(cols)
                       if j not in artificials and tab[r][j] != 0), None)
             if c is not None:
-                _pivot(tab, basis, r, c)
+                pivot(tab, r, c)
+                basis[r] = c
 
     # Phase 2: remaining artificials sit on redundant rows and never re-enter.
     allowed2 = [c not in artificials for c in range(cols)]
     obj2 = [-Fraction(c) for c in lp.objective[:n]] + [Fraction(0)] * (cols - n + 1)
-    obj2 = _reduce_against_basis(_scaled(obj2), tab, basis)
+    obj2 = _reduce_against_basis(scaled(obj2), tab, basis)
     if _run_simplex(tab, basis, obj2, allowed2) == "unbounded":
         return LpResult("unbounded")
 
@@ -204,7 +171,7 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     for i, bc in enumerate(basis):
         if bc < n:
             x[bc] = Fraction(tab[i][-2], tab[i][-1])
-    z = _values(obj2)
+    z = values(obj2)
     y = _extract_duals(z, slack_col, art_col, m, art_cost=Fraction(0))
     y = [-yi if fl else yi for yi, fl in zip(y, flipped)]
     return LpResult("optimal", objective=z[-1], x=x, duals=y)

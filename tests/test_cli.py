@@ -249,6 +249,21 @@ def test_malformed_point_and_map_files_fail_cleanly(tmp_path, capsys, command, t
     assert rc == 1 and captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["caps"],
+    ["generate", "--family", "cube", "-o", "{missing}"],
+    ["caps", "--from-points", "{points}", "-o", "{missing}"],
+    ["generate", "--family", "cyclic-trig", "--n", "6", "--d", "4", "--params", "0", "1", "2"],
+])
+def test_bad_arguments_and_unwritable_outputs_fail_cleanly(tmp_path, capsys, argv):
+    points = tmp_path / "points.json"
+    points.write_text("{" + TETRA_POINTS + "}")
+    missing = tmp_path / "no-such-dir" / "out.json"
+    rc = main([a.format(points=points, missing=missing) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err.startswith("error:") and captured.out == ""
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_sampling_rejects_fewer_than_one_sample(tmp_path, capsys, samples):
     capsfile = tmp_path / "caps.json"

@@ -370,6 +370,8 @@ def test_cyclic_trig_rejects():
         generate_cyclic_trig(8, 3)
     with pytest.raises(ParseError):
         generate_cyclic_trig(8, 4, params=[F(1)] * 8)
+    with pytest.raises(ParseError, match="need 6 parameters, got 3"):
+        generate_cyclic_trig(6, 4, params=[F(0), F(1), F(2)])
 
 
 def test_cyclic_moment_combinatorics_match():

@@ -10,6 +10,7 @@ from polyscribe.hrs import (MarginSystem, _min_nonfacial_circuit,
                             verify_angle_assignment, verify_dual_witness)
 from polyscribe.maps import dual_map
 from polyscribe.rationals import parse_rational
+from polyscribe.simplex import verify_farkas
 from polyscribe.verdicts import Answer, CertKind
 
 
@@ -54,13 +55,15 @@ def test_symmetric_weights_verify():
 
 
 def test_contradictory_face_row_infeasible():
-    # duplicate one face's equality with right-hand side 3 instead of 2
-    m = named_polytope("tetrahedron")
+    # each cuboctahedron edge lies on one triangle and one square, so the
+    # 8 triangle rows and the 6 square rows give two different totals
+    # (16 and 12) for the same sum over all edges
+    m = named_polytope("cuboctahedron")
     system = MarginSystem.from_map(m)
-    system.face_edge_lists.append(system.face_edge_lists[0])
-    system.face_rhs.append(F(3))
     out = solve_max_margin(system, enumerate_simple_circuits(m, 10 ** 6))
     assert out.status == "infeasible" and out.t_star is None
+    assert out.active_circuits == []
+    assert verify_farkas(system.build_lp(out.active_circuits), out.farkas)
 
 
 def test_decide_circumscribable_yes_no():
