@@ -6,7 +6,7 @@ caps hit by a random great circle should grow like sqrt(n).  This script
 measures the median hit count over a range of n and fits the exponent by
 least squares on log-log data.
 
-Usage: python3 scripts/separator_scaling.py [--trials T] [--seed S]
+Usage: python3 scripts/separator_scaling.py [--trials T] [--seed S] [--sizes N ...]
 """
 
 import argparse

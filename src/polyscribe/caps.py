@@ -19,7 +19,9 @@ predicate for all caps at once with numpy.  A value within the forward error
 bound derived in `_FloatForm` of zero, and every cap or query point without
 a float copy, is decided by the exact code (`_sign`, `_caps_overlap`,
 `SphericalCap.contains`, or a squared rational comparison), so every answer
-is the exact one.
+is the exact one.  Exact ply depth scales each boundary plane once to
+integers, so its candidates, and their fallbacks, are exact in integer
+arithmetic rather than `Fraction`s.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 import networkx as nx
@@ -141,14 +144,15 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 
 _U = 2.0 ** -53                      # unit roundoff of float64
 _TINY, _HUGE = 2.0 ** -500, 2.0 ** 500
-_SAMPLE_BLOCK = 1024                 # samples per matrix product in sampling
+_SAMPLE_BLOCK = 1024                 # rows (samples, ply candidates) per product
 
 
-def _float(v) -> float:
-    """float(v), correctly rounded; inf when it overflows and NaN when a
-    nonzero v rounds to zero."""
+def _float(v, den: int = 1) -> float:
+    """v / den for a rational v (an int when den > 1) and a positive int
+    den, correctly rounded; inf when it overflows and NaN when a nonzero
+    value rounds to zero."""
     try:
-        x = float(v)
+        x = float(v) if den == 1 else v / den
     except OverflowError:
         return math.inf
     return math.nan if x == 0 and v else x
@@ -208,9 +212,12 @@ class _FloatForm(NamedTuple):
       (2d + 24)u; c_i + c_j is within 6u.
     - Membership <a_i, x> - c_i and hit value sin_i - |<a_i, u>|: (2d + 13)u.
     - A ply candidate x0 +/- sqrt(rho) n is a unit vector and is not
-      renormalized: each component is within 4.5u (|x0_k| + sqrt(rho)|n_k|),
-      at most 6.4u in norm since ||x0||^2 + rho ||n||^2 = 1, so its
-      membership value is within (1.5d + 14.5)u.
+      renormalized.  Its inputs are integer quotients, each correctly
+      rounded (`_float(v, den)`): x0 = X/det, rho = R/det^3 and n = N, with
+      x0 = 0 for an axis.  So each component is within
+      4.5u (|x0_k| + sqrt(rho)|n_k|), at most 6.4u in norm since
+      ||x0||^2 + rho ||n||^2 = 1, and its membership value is within
+      (1.5d + 14.5)u.
 
     `bound` = (2d + 32)u exceeds each of these with room for the O(u^2)
     terms, so a value beyond +/- bound has its exact sign.
@@ -326,6 +333,10 @@ def _identity_key(cap: SphericalCap):
     return _canonical_ray(cap.axis), cap.cos_sign, cap.cos_sq
 
 
+def _idot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
 def _cross(u, v):
     return (u[1] * v[2] - u[2] * v[1],
             u[2] * v[0] - u[0] * v[2],
@@ -344,14 +355,67 @@ def _boundary_planes(cs: CapSystem):
     return planes
 
 
+class _Candidate(NamedTuple):
+    """A ply candidate in integer form: the point X/det + sgn sqrt(R/det^3) N
+    (det, R > 0).  `caps` are the positions of the caps whose axis (one) or
+    boundary-circle intersection (two) it is; `on` are the caps whose
+    boundary circles pass through it by construction."""
+
+    caps: tuple
+    on: tuple
+    X: tuple
+    det: int
+    N: tuple
+    R: int
+    sgn: int
+
+
+def _ply_candidates(W, B):
+    """The ply candidates of the integer boundary planes <W_k, x> = B_k, in
+    order: each axis, then the two intersections of each pair of boundary
+    circles.  A shared or tangent pair of circles raises
+    DegenerateConfiguration where its candidates would be."""
+    norms = [_idot(w, w) for w in W]
+    for m, (w, n) in enumerate(zip(W, norms)):
+        # the axis w/sqrt(n): x0 = 0 and rho = 1/n
+        yield _Candidate((m,), (), (0,) * len(w), n, w, n * n, 1)
+    for i, (wi, bi, ni) in enumerate(zip(W, B, norms)):
+        for j in range(i + 1, len(W)):
+            wj, bj, nj = W[j], B[j], norms[j]
+            p = _idot(wi, wj)
+            det = ni * nj - p * p               # ||wi x wj||^2 (Lagrange)
+            if det == 0:  # parallel boundary planes
+                if bj * ni == p * bi:
+                    raise DegenerateConfiguration(
+                        "distinct caps share a boundary circle")
+                continue
+            # x0 = X/det with <wi, x0> = bi and <wj, x0> = bj, in span(wi, wj);
+            # x = x0 +/- sqrt(rho) (wi x wj) with rho = (1 - ||x0||^2)/det
+            a, b = bi * nj - bj * p, bj * ni - bi * p
+            X = tuple(a * u + b * v for u, v in zip(wi, wj))
+            R = det * det - _idot(X, X)
+            if R < 0:
+                continue
+            if R == 0:
+                raise DegenerateConfiguration("tangent boundary circles")
+            N = _cross(wi, wj)
+            for sgn in (1, -1):
+                yield _Candidate((i, j), (i, j), X, det, N, R, sgn)
+
+
 def ply_depth(cs: CapSystem):
     """Exact maximum number of open caps sharing a point (d = 3).
 
     Candidates: cap axes and pairwise boundary-circle intersections; in
     general position the closed count at some candidate attains the open
     maximum.  Tangent, coincident, or concurrent boundary circles raise
-    DegenerateConfiguration; dimensions other than 3 raise MonteCarloOnly.
-    Returns (depth, witness) with an exact witness point description.
+    DegenerateConfiguration (the first such candidate in order decides the
+    message); dimensions other than 3 raise MonteCarloOnly.  Every
+    candidate is exact in integers: each boundary plane is scaled once to
+    integers (a positive multiple, so no sign changes).  Candidates are
+    decided a block at a time by one float-filtered product.  Returns
+    (depth, witness) with an exact witness point description; the first
+    candidate of maximum depth is the witness.
     """
     if cs.dimension != 3:
         raise MonteCarloOnly(f"exact ply depth needs dimension 3, got {cs.dimension}")
@@ -364,80 +428,84 @@ def ply_depth(cs: CapSystem):
         groups.setdefault(_identity_key(cap), []).append(i)
     reps = [members[0] for members in groups.values()]
     weight = np.array([len(members) for members in groups.values()])
+    rows = [scaled(planes[i][0] + (planes[i][1],))[:-1] for i in reps]
+    W, B = [tuple(row[:-1]) for row in rows], [row[-1] for row in rows]
 
-    # The sign of <w_k, x> - b_k at a unit candidate x is that of
-    # <a_k/||a_k||, x> - c_k, one product per candidate against all caps;
-    # only caps within the filter bound get the exact term, among them the
-    # caps whose boundary circles pass through x.
+    # The sign of <W_k, x> - B_k at a unit candidate x is that of
+    # <a_k/||a_k||, x> - c_k: one product per block of candidates against
+    # all caps.  Only entries within the filter bound get the exact term,
+    # among them the caps whose boundary circles pass through x; scaled by
+    # det^2 it is det (<W_k, X> - B_k det) + sgn <W_k, N> sqrt(R det).
     f = cs.floats
     axes, cos = f.axes[reps], f.cos[reps]
 
-    def depth_at(values, exact):  # exact(k): sign of the term of cap k
-        signs = _decide(values, f.bound, lambda m: exact(reps[m]))
-        return int(weight[signs >= 0].sum()), int((signs == 0).sum())
+    def deepest(block):
+        """(depth, candidate) of the first deepest candidate of a block;
+        raises at its first degenerate candidate."""
+        if not block:
+            return -1, None
+        x0 = _safe(np.array([[_float(x, c.det) for x in c.X] for c in block]))
+        n = _safe(np.array([[_float(x) for x in c.N] for c in block]))
+        root = np.sqrt(_safe(np.array([_float(c.R, c.det ** 3) for c in block])))
+        sgn = np.array([c.sgn for c in block])
 
-    best = None
-    # Axis candidates: x = a/||a||; <w_k, x> >= b_k scales to
-    # <w_k, a> - b_k sqrt(||a||^2) >= 0.
-    at_axes = axes @ axes.T - cos[:, None]
-    for m, i in enumerate(reps):
+        def exact(r, k):
+            c = block[r]
+            if k in c.on:
+                return 0
+            return _sign_root(c.det * (_idot(W[k], c.X) - B[k] * c.det),
+                              c.sgn * _idot(W[k], c.N), c.R * c.det)
+        signs = _decide((x0 + (sgn * root)[:, None] * n) @ axes.T - cos,
+                        f.bound, exact)
+        on = np.array([len(c.on) for c in block])
+        bad = np.flatnonzero((signs == 0).sum(axis=1) > on)
+        if bad.size:
+            raise DegenerateConfiguration(
+                "three boundary circles meet at a point" if on[bad[0]]
+                else "a boundary circle passes through a cap axis")
+        depths = (signs >= 0) @ weight
+        r = int(np.argmax(depths))
+        return int(depths[r]), block[r]
+
+    # max keeps the earlier of two equal depths: the first deepest candidate
+    best, block = (-1, None), []
+    try:
+        for c in _ply_candidates(W, B):
+            block.append(c)
+            if len(block) == _SAMPLE_BLOCK:
+                best, block = max(best, deepest(block), key=itemgetter(0)), []
+    except DegenerateConfiguration:
+        deepest(block)            # a degenerate candidate before it comes first
+        raise
+    depth, c = max(best, deepest(block), key=itemgetter(0))
+    return depth, _ply_witness(cs, planes, [reps[m] for m in c.caps], c.sgn)
+
+
+def _ply_witness(cs: CapSystem, planes, caps, sgn):
+    """The exact witness of the axis of one cap, or of a circle
+    intersection of two caps, from their rational boundary planes."""
+    if len(caps) == 1:
+        i, = caps
         a = cs.caps[i].axis
-        na = norm_sq(a)
-        total, nb = depth_at(at_axes[:, m], lambda k: _sign(
-            dot(planes[k][0], a), -planes[k][1], na))
-        if nb > 0:
-            raise DegenerateConfiguration("a boundary circle passes through a cap axis")
-        if best is None or total > best[0]:
-            k = _pow2_scale(a)
-            root = math.sqrt(float(na * k * k))
-            best = (total, {"kind": "axis", "cap": i,
-                            "axis": format_vector(a),
-                            "approx": [float(c * k) / root for c in a]})
-
-    # Pairwise boundary intersections: x = x0 +/- sqrt(rho) * n.
-    for ii in range(len(reps)):
-        for jj in range(ii + 1, len(reps)):
-            i, j = reps[ii], reps[jj]
-            wi, bi = planes[i]
-            wj, bj = planes[j]
-            ni, nj, p = cs.caps[i].norm_sq, cs.caps[j].norm_sq, dot(wi, wj)
-            det = ni * nj - p * p
-            if det == 0:  # parallel boundary planes
-                lam = p / ni
-                if bj == lam * bi:
-                    raise DegenerateConfiguration(
-                        "distinct caps share a boundary circle")
-                continue
-            # x0 = alpha w_i + beta w_j with <w_i, x0> = b_i, <w_j, x0> = b_j
-            alpha, beta = (bi * nj - bj * p) / det, (bj * ni - bi * p) / det
-            x0 = tuple(alpha * a + beta * b for a, b in zip(wi, wj))
-            n = _cross(wi, wj)
-            rho = (1 - norm_sq(x0)) / norm_sq(n)
-            if rho < 0:
-                continue
-            if rho == 0:
-                raise DegenerateConfiguration("tangent boundary circles")
-            x0f, nf, rootf = _floats(x0), _floats(n), np.sqrt(_floats((rho,))[0])
-            for sgn in (1, -1):
-                # x lies on the circles of caps i and j by construction
-                total, nb = depth_at(axes @ (x0f + sgn * rootf * nf) - cos,
-                                     lambda k: 0 if k in (i, j) else _sign(
-                                         dot(planes[k][0], x0) - planes[k][1],
-                                         sgn * dot(planes[k][0], n), rho))
-                if nb > 2:
-                    raise DegenerateConfiguration(
-                        "three boundary circles meet at a point")
-                if best is None or total > best[0]:
-                    k = _pow2_scale(n)
-                    rr = math.sqrt(float(rho / (k * k)))
-                    best = (total, {
-                        "kind": "circle-intersection", "caps": [i, j],
-                        "base": format_vector(x0),
-                        "direction": format_vector(n),
-                        "scale_sq": format_rational(rho), "sign": sgn,
-                        "approx": [float(r) + sgn * rr * float(d * k)
-                                   for r, d in zip(x0, n)]})
-    return best
+        k = _pow2_scale(a)
+        root = math.sqrt(float(cs.caps[i].norm_sq * k * k))
+        return {"kind": "axis", "cap": i, "axis": format_vector(a),
+                "approx": [float(c * k) / root for c in a]}
+    i, j = caps
+    (wi, bi), (wj, bj) = planes[i], planes[j]
+    ni, nj, p = cs.caps[i].norm_sq, cs.caps[j].norm_sq, dot(wi, wj)
+    det = ni * nj - p * p
+    alpha, beta = (bi * nj - bj * p) / det, (bj * ni - bi * p) / det
+    x0 = tuple(alpha * a + beta * b for a, b in zip(wi, wj))
+    n = _cross(wi, wj)
+    rho = (1 - norm_sq(x0)) / norm_sq(n)
+    k = _pow2_scale(n)
+    rr = math.sqrt(float(rho / (k * k)))
+    return {"kind": "circle-intersection", "caps": [i, j],
+            "base": format_vector(x0), "direction": format_vector(n),
+            "scale_sq": format_rational(rho), "sign": sgn,
+            "approx": [float(r) + sgn * rr * float(d * k)
+                       for r, d in zip(x0, n)]}
 
 
 def ply_depth_sampling(cs: CapSystem, samples: int = 20000, seed: int = 0):
@@ -502,7 +570,7 @@ def _trial_normal(seed: int, trial: int, d: int):
     while True:
         z = rng.standard_normal(d)
         u = tuple(Fraction(float(c)) for c in z)
-        if norm_sq(u) != 0:
+        if any(u):
             return u
 
 
@@ -513,12 +581,11 @@ def hyperplane_hits(cs: CapSystem, u) -> list[int]:
     values within the filter bound are decided by the rational comparison
     in squared form."""
     f = cs.floats
-    un = norm_sq(u)
 
     def exact(i):
         cap = cs.caps[i]
         t = dot(u, cap.axis)
-        slack = (1 - cap.cos_sq) * un * cap.norm_sq - t * t
+        slack = (1 - cap.cos_sq) * norm_sq(u) * cap.norm_sq - t * t
         return (slack > 0) - (slack < 0)
     x = _unit_rows(_floats(u)[None, :])[0]
     return np.flatnonzero(

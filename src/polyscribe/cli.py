@@ -353,12 +353,18 @@ def cmd_scribe(args) -> int:
 # ------------------------------------------------------------------ caps
 
 def cmd_caps(args) -> int:
+    if args.samples is not None and args.ply != "sampling":
+        raise ParseError("--samples needs --ply sampling")
     if args.from_points:
+        if args.capfile is not None or args.ply:
+            raise ParseError("caps --from-points takes no CAPFILE and no --ply")
         pc = points.parse_points_json(_read(args.from_points))
         _write(args.output, caps_mod.serialize_caps_json(caps_mod.visibility_system(pc)))
         return 0
     if args.capfile is None:
         raise ParseError("caps needs a CAPFILE or --from-points")
+    if args.output is not None:
+        raise ParseError("caps -o needs --from-points")
     text = _read(args.capfile)
     cs = caps_mod.parse_caps_json(text)
     g = caps_mod.cap_intersection_graph(cs)
@@ -369,7 +375,8 @@ def cmd_caps(args) -> int:
         depth, witness = caps_mod.ply_depth(cs)
         info["ply"] = {"mode": "exact", "depth": depth, "witness": witness}
     elif args.ply == "sampling":
-        depth, witness = caps_mod.ply_depth_sampling(cs, args.samples, args.seed)
+        samples = {} if args.samples is None else {"samples": args.samples}
+        depth, witness = caps_mod.ply_depth_sampling(cs, seed=args.seed, **samples)
         info["ply"] = {"mode": "monte-carlo lower bound", "depth": depth,
                        "witness": witness}
     if args.json:
@@ -467,8 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--from-points", metavar="POINTFILE",
                    help="build a visibility-cap system from exterior points")
     k.add_argument("--ply", choices=["exact", "sampling"])
-    k.add_argument("--samples", type=int, default=20000)
-    k.add_argument("-o", "--output")
+    k.add_argument("--samples", type=int,
+                   help="samples of --ply sampling (default 20000)")
+    k.add_argument("-o", "--output", help="where --from-points writes its caps")
     k.set_defaults(fn=cmd_caps)
 
     r = add_sub("separator", help="random-hyperplane separator experiment")

@@ -20,6 +20,7 @@ from polyscribe.caps import (CapSystem, SphericalCap, _caps_overlap, _sign,
 from polyscribe.errors import (DegenerateConfiguration, MonteCarloOnly,
                                ParseError, PointInsideBall)
 from polyscribe.linalg import dot, norm_sq
+from polyscribe.rationals import format_rational, format_vector
 
 
 def _octa_system(scale=2):
@@ -590,3 +591,184 @@ def test_ply_witness_floats_unscaled_in_range():
     cap = SphericalCap(axis=(F(3), F(4), F(0)), cos_radius=F(1, 3))
     _, witness = ply_depth(CapSystem(3, (cap,)))
     assert witness["approx"] == [3.0 / math.sqrt(25.0), 4.0 / math.sqrt(25.0), 0.0]
+
+
+# ------------------------------------------------- exact ply against Fractions
+# The per-pair Fraction loop the integer candidates replaced, kept as the
+# oracle of the differential tests below.
+
+def ref_ply_depth(cs):
+    if cs.dimension != 3:
+        raise MonteCarloOnly(f"exact ply depth needs dimension 3, got {cs.dimension}")
+    if cs.n_caps == 0:
+        return 0, None
+    planes = caps._boundary_planes(cs)
+    groups = {}
+    for i, cap in enumerate(cs.caps):
+        groups.setdefault(caps._identity_key(cap), []).append(i)
+    reps = [members[0] for members in groups.values()]
+    weight = np.array([len(members) for members in groups.values()])
+    f = cs.floats
+    axes, cos = f.axes[reps], f.cos[reps]
+
+    def depth_at(values, exact):
+        signs = caps._decide(values, f.bound, lambda m: exact(reps[m]))
+        return int(weight[signs >= 0].sum()), int((signs == 0).sum())
+
+    best = None
+    at_axes = axes @ axes.T - cos[:, None]
+    for m, i in enumerate(reps):
+        a = cs.caps[i].axis
+        na = norm_sq(a)
+        total, nb = depth_at(at_axes[:, m], lambda k: _sign(
+            dot(planes[k][0], a), -planes[k][1], na))
+        if nb > 0:
+            raise DegenerateConfiguration("a boundary circle passes through a cap axis")
+        if best is None or total > best[0]:
+            k = caps._pow2_scale(a)
+            root = math.sqrt(float(na * k * k))
+            best = (total, {"kind": "axis", "cap": i, "axis": format_vector(a),
+                            "approx": [float(c * k) / root for c in a]})
+    for ii in range(len(reps)):
+        for jj in range(ii + 1, len(reps)):
+            i, j = reps[ii], reps[jj]
+            wi, bi = planes[i]
+            wj, bj = planes[j]
+            ni, nj, p = cs.caps[i].norm_sq, cs.caps[j].norm_sq, dot(wi, wj)
+            det = ni * nj - p * p
+            if det == 0:
+                if bj == p / ni * bi:
+                    raise DegenerateConfiguration("distinct caps share a boundary circle")
+                continue
+            alpha, beta = (bi * nj - bj * p) / det, (bj * ni - bi * p) / det
+            x0 = tuple(alpha * a + beta * b for a, b in zip(wi, wj))
+            n = caps._cross(wi, wj)
+            rho = (1 - norm_sq(x0)) / norm_sq(n)
+            if rho < 0:
+                continue
+            if rho == 0:
+                raise DegenerateConfiguration("tangent boundary circles")
+            x0f, nf = caps._floats(x0), caps._floats(n)
+            rootf = np.sqrt(caps._floats((rho,))[0])
+            for sgn in (1, -1):
+                total, nb = depth_at(axes @ (x0f + sgn * rootf * nf) - cos,
+                                     lambda k: 0 if k in (i, j) else _sign(
+                                         dot(planes[k][0], x0) - planes[k][1],
+                                         sgn * dot(planes[k][0], n), rho))
+                if nb > 2:
+                    raise DegenerateConfiguration("three boundary circles meet at a point")
+                if best is None or total > best[0]:
+                    k = caps._pow2_scale(n)
+                    rr = math.sqrt(float(rho / (k * k)))
+                    best = (total, {
+                        "kind": "circle-intersection", "caps": [i, j],
+                        "base": format_vector(x0), "direction": format_vector(n),
+                        "scale_sq": format_rational(rho), "sign": sgn,
+                        "approx": [float(r) + sgn * rr * float(d * k)
+                                   for r, d in zip(x0, n)]})
+    return best
+
+
+def _ply_outcome(fn, cs):
+    try:
+        return fn(cs)
+    except DegenerateConfiguration as exc:
+        return type(exc), str(exc)
+
+
+def _visibility(*points):
+    return tuple(visibility_cap(tuple(F(c) for c in p)) for p in points)
+
+
+# Boundary circles through the north pole: the caps of (1, 0, 1), (0, 1, 1)
+# and (-1, 0, 1) meet there.
+CONCURRENT = _visibility((1, 0, 1), (0, 1, 1), (-1, 0, 1))
+# Two caps of cosine 3/5 whose axes are twice their angular radius apart:
+# their boundary circles touch at (4/5, 0, -3/5).
+TANGENT = (SphericalCap(axis=(F(0), F(0), F(-1)), cos_radius=F(3, 5)),
+           SphericalCap(axis=(F(24, 25), F(0), F(7, 25)), cos_radius=F(3, 5)))
+# A cap and its complement: one boundary circle.
+SHARED = (SphericalCap(axis=(F(2), F(1), F(-2)), cos_radius=F(1, 2)),
+          SphericalCap(axis=(F(-2), F(-1), F(2)), offset=F(-3, 2)))
+# The equator passes through the axis of the second cap.
+THROUGH_AXIS = (SphericalCap(axis=(F(0), F(0), F(1)), cos_radius=F(0)),
+                SphericalCap(axis=(F(1), F(0), F(0)), cos_radius=F(1, 2)))
+
+
+@pytest.fixture(params=[None, 7], ids=["one-block", "blocks-of-7"])
+def ply_block(request, monkeypatch):
+    """Run with the default block, and with blocks of 7 candidates so that
+    the first deepest and the first degenerate candidate cross blocks."""
+    if request.param is not None:
+        monkeypatch.setattr(caps, "_SAMPLE_BLOCK", request.param)
+
+
+def _assert_ply_matches_reference(cs):
+    got = _ply_outcome(ply_depth, cs)
+    assert got == _ply_outcome(ref_ply_depth, cs)
+    return got
+
+
+@pytest.mark.parametrize("n", [5, 20, 30, 40])
+def test_ply_depth_matches_reference(n, ply_block, monkeypatch):
+    systems = [random_visibility_system(n, seed=seed) for seed in range(4)]
+    expect = [ref_ply_depth(cs) for cs in systems]
+    assert [ply_depth(cs) for cs in systems] == expect
+    assert "circle-intersection" in {witness["kind"] for _, witness in expect}
+    _all_exact(monkeypatch)     # every entry through the integer fallback
+    assert [ply_depth(cs) for cs in systems] == expect
+
+
+def test_ply_depth_matches_reference_on_special_systems(ply_block):
+    octa = _octa_system()
+    assert _assert_ply_matches_reference(octa)[0] == 3
+    dup = random_visibility_system(12, seed=3)
+    dup = CapSystem(3, dup.caps + dup.caps[4:7] + dup.caps[5:6])
+    assert _assert_ply_matches_reference(dup)[0] >= 3
+    big, tiny = F(10) ** 400, F(1, 10 ** 400)
+    extreme = [
+        CapSystem(3, (SphericalCap(axis=(3 * big, 4 * big, F(0)), cos_radius=F(1, 2)),
+                      SphericalCap(axis=(F(0), 5 * big, F(0)), offset=-4 * big),
+                      SphericalCap(axis=(tiny, F(0), F(0)), cos_radius=F(1, 3)),
+                      SphericalCap(axis=(F(0), 3 * tiny, 4 * tiny), cos_radius=F(-1, 5)),
+                      SphericalCap(axis=(F(2), F(1), F(2)), cos_radius=F(7, 10)))),
+        CapSystem(3, (SphericalCap(axis=(big, F(0), F(0)), cos_radius=F(1, 3)),
+                      SphericalCap(axis=(F(0), big, F(0)), cos_radius=F(1, 3)))),
+        CapSystem(3, (SphericalCap(axis=(tiny, F(0), F(0)), cos_radius=F(1, 3)),
+                      SphericalCap(axis=(F(0), tiny, F(0)), cos_radius=F(1, 3))))]
+    for cs in extreme:
+        assert _assert_ply_matches_reference(cs)[0] >= 2
+
+
+def test_ply_depth_degeneracies_match_reference(cube_points, ply_block):
+    cases = [(visibility_system(cube_points), "three boundary circles meet at a point"),
+             (CapSystem(3, TANGENT), "tangent boundary circles"),
+             (CapSystem(3, SHARED), "distinct caps share a boundary circle"),
+             (CapSystem(3, THROUGH_AXIS), "a boundary circle passes through a cap axis"),
+             # two degeneracies: the first candidate in order decides
+             (CapSystem(3, CONCURRENT + TANGENT), "three boundary circles meet at a point"),
+             (CapSystem(3, TANGENT + CONCURRENT), "tangent boundary circles"),
+             (CapSystem(3, TANGENT + THROUGH_AXIS),
+              "a boundary circle passes through a cap axis"),
+             (CapSystem(3, CONCURRENT + SHARED), "three boundary circles meet at a point"),
+             (CapSystem(3, SHARED + CONCURRENT), "distinct caps share a boundary circle")]
+    for cs, message in cases:
+        assert _assert_ply_matches_reference(cs) == (DegenerateConfiguration, message)
+    # each degeneracy alone is no error once its circles are apart
+    for part in (CONCURRENT[:2], TANGENT[:1], SHARED[:1], THROUGH_AXIS[1:]):
+        assert _assert_ply_matches_reference(CapSystem(3, part))[0] >= 1
+
+
+def test_ply_depth_fraction_work_is_linear(monkeypatch):
+    # the candidates are decided in ints; Fraction dot products are left
+    # to the witness, not made once per pair of caps
+    cs = random_visibility_system(30, seed=0)
+    calls = []
+    for name in ("dot", "norm_sq"):
+        def counted(*args, fn=getattr(caps, name)):
+            calls.append(fn)
+            return fn(*args)
+        monkeypatch.setattr(caps, name, counted)
+    depth, witness = ply_depth(cs)
+    assert witness["kind"] == "circle-intersection"
+    assert 0 < len(calls) <= cs.n_caps

@@ -4,7 +4,8 @@ import pytest
 
 from polyscribe import graphs, hrs, hull, maps
 from polyscribe.cli import main
-from polyscribe.caps import random_visibility_system, serialize_caps_json
+from polyscribe.caps import (ply_depth_sampling, random_visibility_system,
+                             serialize_caps_json)
 from polyscribe.corpus import named_polytope, prism
 from polyscribe.maps import serialize_map_json
 
@@ -253,15 +254,28 @@ def test_malformed_point_and_map_files_fail_cleanly(tmp_path, capsys, command, t
     ["caps"],
     ["generate", "--family", "cube", "-o", "{missing}"],
     ["caps", "--from-points", "{points}", "-o", "{missing}"],
+    # flags that would do nothing
+    ["caps", "{caps}", "--from-points", "{points}"],
+    ["caps", "--from-points", "{points}", "--ply", "exact"],
+    ["caps", "--from-points", "{points}", "--ply", "sampling"],
+    ["caps", "--from-points", "{points}", "--samples", "100"],
+    ["caps", "{caps}", "--samples", "100"],
+    ["caps", "{caps}", "--ply", "exact", "--samples", "100"],
+    ["caps", "{caps}", "--ply", "exact", "-o", "{out}"],
     ["generate", "--family", "cyclic-trig", "--n", "6", "--d", "4", "--params", "0", "1", "2"],
 ])
 def test_bad_arguments_and_unwritable_outputs_fail_cleanly(tmp_path, capsys, argv):
     points = tmp_path / "points.json"
     points.write_text("{" + TETRA_POINTS + "}")
+    capsfile = tmp_path / "caps.json"
+    capsfile.write_text(serialize_caps_json(random_visibility_system(4, seed=1)))
     missing = tmp_path / "no-such-dir" / "out.json"
-    rc = main([a.format(points=points, missing=missing) for a in argv])
+    out = tmp_path / "out.json"
+    rc = main([a.format(points=points, caps=capsfile, missing=missing, out=out)
+               for a in argv])
     captured = capsys.readouterr()
     assert rc == 1 and captured.err.startswith("error:") and captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
@@ -271,6 +285,16 @@ def test_sampling_rejects_fewer_than_one_sample(tmp_path, capsys, samples):
     rc = main(["caps", str(capsfile), "--ply", "sampling", "--samples", samples])
     captured = capsys.readouterr()
     assert rc == 1 and captured.err.startswith("error:")
+
+
+def test_sampling_defaults_to_20000_samples(tmp_path, capsys):
+    cs = random_visibility_system(4, seed=1)
+    capsfile = tmp_path / "caps.json"
+    capsfile.write_text(serialize_caps_json(cs))
+    rc, out = run(capsys, "caps", str(capsfile), "--ply", "sampling", "--seed", "2",
+                  "--json")
+    ply = json.loads(out)["ply"]
+    assert rc == 0 and (ply["depth"], ply["witness"]) == ply_depth_sampling(cs, 20000, 2)
 
 
 def test_scribe_facets_of_cyclic_polytope(tmp_path, capsys):

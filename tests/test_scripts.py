@@ -35,6 +35,19 @@ def test_cyclic_scribe_table_smoke():
             assert answer == ("YES" if holds else "NO"), (line, head)
 
 
+def test_separator_scaling_smoke():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "separator_scaling.py"),
+                          "--sizes", "60", "125", "--trials", "20"], capture_output=True,
+                         text=True, env=env, timeout=300, check=True).stdout.splitlines()
+    assert out[0].split() == ["n", "median", "mean", "min", "median/sqrt(n)"]
+    rows = [line.split() for line in out[1:] if line.strip()]
+    assert [row[0] for row in rows[:2]] == ["60", "125"]
+    assert all(len(row) == 5 for row in rows[:2])
+    assert rows[2][:2] == ["fitted", "exponent:"] and len(rows) == 3
+    assert 0 < float(rows[2][2]) < 1
+
+
 def test_cyclic_scribe_table_rejects_n_past_the_hull_limit():
     table = load_script("cyclic_scribe_table")
     try:
