@@ -1,13 +1,15 @@
 """Command-line surface: reproducible analyses with text and JSON reports.
 
-Exit codes: 0 success (any verdict), 1 input error, 2 a budget produced
-UNKNOWN.  JSON reports are byte-identical across runs for identical inputs,
-flags, and seed; wall-clock timing therefore only appears in text output.
+Exit codes: 0 success (any verdict), 1 input error (usage errors
+included), 2 a budget produced UNKNOWN.  JSON reports are byte-identical
+across runs for identical inputs, flags, and seed; wall-clock timing
+therefore only appears in text output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -135,23 +137,22 @@ def _run_analysis(m, path_text, path, budget_subsets,
         add("facet paint test", "UNKNOWN", str(exc))
 
     # Toughness and supertoughness enumerate vertex subsets, so they keep
-    # their own smaller budget rather than --budget-subsets.  The
-    # supertoughness result is kept for the simple-polytope characterization.
-    supertough = None
-    for name, fn in (("1-tough", graphs.is_one_tough),
-                     ("1-supertough", graphs.is_one_supertough)):
-        try:
-            ok, cert = fn(g, graphs.DEFAULT_TOUGHNESS_BUDGET)
-            if name == "1-supertough":
-                supertough = ok, cert
-            if ok:
-                add(name, "PASS", f"graph is {name}")
-            else:
-                add(name, "FAIL", cert.conclusion, (cert,))
-                if verify_certs:
-                    verified &= recheck_certificate(cert, g)
-        except BudgetExceeded as exc:
-            add(name, "UNKNOWN", str(exc))
+    # their own smaller budget rather than --budget-subsets.  One scan
+    # answers both, and the supertoughness result is kept for the
+    # simple-polytope characterization.
+    scan = graphs.toughness_scan(g, graphs.DEFAULT_TOUGHNESS_BUDGET)
+    for name, result in zip(("1-tough", "1-supertough"), scan):
+        if isinstance(result, BudgetExceeded):
+            add(name, "UNKNOWN", str(result))
+            continue
+        ok, cert = result
+        if ok:
+            add(name, "PASS", f"graph is {name}")
+        else:
+            add(name, "FAIL", cert.conclusion, (cert,))
+            if verify_certs:
+                verified &= recheck_certificate(cert, g)
+    supertough = None if isinstance(scan[1], BudgetExceeded) else scan[1]
 
     k, conn_cert = graphs.vertex_connectivity(g)
     add("connectivity", "PASS", f"vertex connectivity {k}", (conn_cert,))
@@ -353,8 +354,10 @@ def cmd_scribe(args) -> int:
 # ------------------------------------------------------------------ caps
 
 def cmd_caps(args) -> int:
-    if args.samples is not None and args.ply != "sampling":
-        raise ParseError("--samples needs --ply sampling")
+    sampling = {flag: getattr(args, flag) for flag in ("samples", "seed")
+                if getattr(args, flag) is not None}
+    if sampling and args.ply != "sampling":
+        raise ParseError(f"--{next(iter(sampling))} needs --ply sampling")
     if args.from_points:
         if args.capfile is not None or args.ply:
             raise ParseError("caps --from-points takes no CAPFILE and no --ply")
@@ -375,8 +378,7 @@ def cmd_caps(args) -> int:
         depth, witness = caps_mod.ply_depth(cs)
         info["ply"] = {"mode": "exact", "depth": depth, "witness": witness}
     elif args.ply == "sampling":
-        samples = {} if args.samples is None else {"samples": args.samples}
-        depth, witness = caps_mod.ply_depth_sampling(cs, seed=args.seed, **samples)
+        depth, witness = caps_mod.ply_depth_sampling(cs, **sampling)
         info["ply"] = {"mode": "monte-carlo lower bound", "depth": depth,
                        "witness": witness}
     if args.json:
@@ -413,23 +415,25 @@ def cmd_separator(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def build_parser() -> argparse.ArgumentParser:
-    def global_flags(parser, suppress: bool):
-        # The subparsers re-declare the global flags with SUPPRESS defaults so
-        # flags given before the subcommand are not clobbered by defaults.
-        d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-        parser.add_argument("--json", action="store_true", default=d(False),
-                            help="machine-readable output")
-        parser.add_argument("--budget-subsets", type=int, metavar="N",
-                            default=d(graphs.DEFAULT_INDEP_BUDGET),
-                            help="vertex budget for subset searches")
-        parser.add_argument("--seed", type=int, default=d(0))
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors (exit 1);
+    argparse's own exit code 2 is the one that means UNKNOWN here."""
 
-    common = argparse.ArgumentParser(add_help=False)
-    global_flags(common, suppress=True)
-    p = argparse.ArgumentParser(prog="polyscribe",
-                                description="exact scribability analysis of polytopes")
-    global_flags(p, suppress=False)
+    def error(self, message):
+        raise ParseError(f"{message} (see {self.prog} --help)")
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Each flag is
+    declared on the subcommands that read it; --json is global."""
+    # The subparsers re-declare --json with a SUPPRESS default so a --json
+    # given before the subcommand is not clobbered by their default.
+    common = _Parser(add_help=False)
+    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
+                        help="machine-readable output")
+    p = _Parser(prog="polyscribe", description="exact scribability analysis of polytopes")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_sub(name, **kw):
@@ -438,6 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     a = add_sub("analyze", help="full test pipeline on a map file")
     a.add_argument("mapfile")
     a.add_argument("--verify-certificates", action="store_true")
+    a.add_argument("--budget-subsets", type=int, metavar="N",
+                   default=graphs.DEFAULT_INDEP_BUDGET,
+                   help="vertex budget of the independent-set and facet-paint searches")
     a.set_defaults(fn=cmd_analyze)
 
     d = add_sub("decide", help="single decision on a map file")
@@ -476,20 +483,21 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--ply", choices=["exact", "sampling"])
     k.add_argument("--samples", type=int,
                    help="samples of --ply sampling (default 20000)")
+    k.add_argument("--seed", type=int, help="seed of --ply sampling (default 0)")
     k.add_argument("-o", "--output", help="where --from-points writes its caps")
     k.set_defaults(fn=cmd_caps)
 
     r = add_sub("separator", help="random-hyperplane separator experiment")
     r.add_argument("capfile")
     r.add_argument("--trials", type=int, default=100)
+    r.add_argument("--seed", type=int, default=0)
     r.set_defaults(fn=cmd_separator)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except BudgetExceeded as exc:
         print(f"unknown: {exc}", file=sys.stderr)

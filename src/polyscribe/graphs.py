@@ -3,6 +3,10 @@
 All searches are exponential but budgeted; exceeding a budget raises
 BudgetExceeded so callers can degrade to UNKNOWN instead of guessing.
 Searches use deterministic vertex orders so results are reproducible.
+1-toughness and 1-supertoughness are answered together by one scan of the
+cutsets (`toughness_scan`), which counts the components left by each
+vertex subset once; `is_one_tough` and `is_one_supertough` read their
+answer from it.
 """
 
 from __future__ import annotations
@@ -145,47 +149,70 @@ def _components_mask(masks, alive: int) -> int:
     return count
 
 
-def _cutset_scan(g: nx.Graph, budget: int, what: str, ks: range, at_least: bool,
-                 kind: CertKind, name: str):
-    """Enumerate cutsets S by size k in ks for one that leaves more than k
-    components (at least k when at_least); (True, None) if there is none."""
+def toughness_scan(g: nx.Graph, budget: int = DEFAULT_TOUGHNESS_BUDGET):
+    """1-toughness and 1-supertoughness from one scan of the cutsets.
+
+    Cutsets S are taken by size k, then in lexicographic order, and the
+    components of g - S are counted once for both tests.  1-toughness fails
+    at the first S that leaves more than k components, with
+    k <= (n-1)//2 since components(g-S) <= n-k; 1-supertoughness fails at
+    the first S with 2 <= k <= n//2 that leaves at least k components.
+    The scan stops once both are decided.  Returns (tough, supertough),
+    each (True, None) or (False, certificate).  Over the budget, each is
+    instead the BudgetExceeded its own test raises (see is_one_tough and
+    is_one_supertough).
+    """
     n = g.number_of_nodes()
     if n > budget:
-        raise BudgetExceeded(what, n, budget)
+        return (BudgetExceeded("toughness enumeration", n, budget),
+                BudgetExceeded("supertoughness enumeration", n, budget))
     nodes, masks = _neighbor_masks(g)
+    bits = [1 << i for i in range(n)]
     full = (1 << n) - 1
-    for k in ks:
-        for subset in combinations(range(n), k):
-            rm = 0
-            for i in subset:
-                rm |= 1 << i
-            comps = _components_mask(masks, full & ~rm)
-            if comps >= (k if at_least else k + 1):
-                cut = [nodes[i] for i in subset]
-                return False, Certificate(
-                    kind, {"cutset": cut, "components": comps},
-                    f"removing {k} vertices leaves {comps} components: not {name}",
-                )
-    return True, None
+    last_tough = (n - 1) // 2
+    tough = supertough = None
+
+    def violation(kind, name, subset, comps):
+        cut = [nodes[b.bit_length() - 1] for b in subset]
+        return False, Certificate(
+            kind, {"cutset": cut, "components": comps},
+            f"removing {len(cut)} vertices leaves {comps} components: not {name}")
+
+    for k in range(1, n // 2 + 1):
+        check_tough = tough is None and k <= last_tough
+        check_super = supertough is None and k >= 2
+        if not (check_tough or check_super):
+            continue
+        for subset in combinations(bits, k):
+            comps = _components_mask(masks, full ^ sum(subset))
+            if check_tough and comps > k:
+                tough = violation(CertKind.TOUGHNESS_VIOLATION, "1-tough", subset, comps)
+                check_tough = False
+            if check_super and comps >= k:
+                supertough = violation(CertKind.SUPERTOUGH_VIOLATION, "1-supertough",
+                                       subset, comps)
+                check_super = False
+            if not (check_tough or check_super):
+                break
+    return tough or (True, None), supertough or (True, None)
+
+
+def _answer(result):
+    if isinstance(result, BudgetExceeded):
+        raise result
+    return result
 
 
 def is_one_tough(g: nx.Graph, budget: int = DEFAULT_TOUGHNESS_BUDGET):
     """True, or (False, ToughnessViolation certificate) with a cutset S such
     that g - S has more than |S| components.  Exhaustive over subsets."""
-    # components(g-S) <= n-|S|, so a violation needs |S| <= (n-1)//2
-    n = g.number_of_nodes()
-    return _cutset_scan(g, budget, "toughness enumeration",
-                        range(1, (n - 1) // 2 + 1), False,
-                        CertKind.TOUGHNESS_VIOLATION, "1-tough")
+    return _answer(toughness_scan(g, budget)[0])
 
 
 def is_one_supertough(g: nx.Graph, budget: int = DEFAULT_TOUGHNESS_BUDGET):
     """True, or (False, SupertoughViolation) with S, |S| = k >= 2, such that
     g - S has at least k components."""
-    n = g.number_of_nodes()
-    return _cutset_scan(g, budget, "supertoughness enumeration",
-                        range(2, n // 2 + 1), True,
-                        CertKind.SUPERTOUGH_VIOLATION, "1-supertough")
+    return _answer(toughness_scan(g, budget)[1])
 
 
 # ---------------------------------------------------------------- connectivity

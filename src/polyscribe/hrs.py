@@ -89,30 +89,30 @@ class MarginSystem:
         ne = len(self.edges)
         idx = {e: i for i, e in enumerate(self.edges)}
         ncols = ne + 2  # v_e ..., t+, t-
-        obj = [Fraction(0)] * ncols
-        obj[ne] = Fraction(1)
-        obj[ne + 1] = Fraction(-1)
+        obj = [0] * ncols
+        obj[ne] = 1
+        obj[ne + 1] = -1
         lp = LinearProgram(ncols, obj)
         for fe in self.face_edge_lists:
-            row = [Fraction(0)] * ncols
+            row = [0] * ncols
             for e in fe:
-                row[idx[e]] = Fraction(1)
-            row[ne] = Fraction(len(fe))
-            row[ne + 1] = Fraction(-len(fe))
-            lp.add_row(row, EQ, Fraction(2))
+                row[idx[e]] = 1
+            row[ne] = len(fe)
+            row[ne + 1] = -len(fe)
+            lp.add_row(row, EQ, 2)
         for e in self.edges:
-            row = [Fraction(0)] * ncols
-            row[idx[e]] = Fraction(1)
-            row[ne] = Fraction(2)
-            row[ne + 1] = Fraction(-2)
-            lp.add_row(row, LE, Fraction(1))
+            row = [0] * ncols
+            row[idx[e]] = 1
+            row[ne] = 2
+            row[ne + 1] = -2
+            lp.add_row(row, LE, 1)
         for c in circuits:
-            row = [Fraction(0)] * ncols
+            row = [0] * ncols
             for e in c.edges:
-                row[idx[e]] = Fraction(1)
-            row[ne] = Fraction(len(c.edges) - 1)
-            row[ne + 1] = Fraction(-(len(c.edges) - 1))
-            lp.add_row(row, GE, Fraction(2))
+                row[idx[e]] = 1
+            row[ne] = len(c.edges) - 1
+            row[ne + 1] = -(len(c.edges) - 1)
+            lp.add_row(row, GE, 2)
         return lp
 
 

@@ -1,15 +1,20 @@
 """Combinatorial maps: 3-connected planar graphs given with their facial cycles.
 
 The face list is taken as an embedding witness (unique by Whitney for
-3-connected planar graphs); validation is purely combinatorial: every
-edge lies in exactly two faces, Euler's relation holds, and the graph is
-simple and 3-connected.
+3-connected planar graphs); validation is purely combinatorial: every face
+is a simple cycle, every edge lies in exactly two faces, Euler's relation
+holds, and the graph is 3-connected.  3-connectivity is read off the faces
+themselves when they form a polyhedral map (see `_polyhedral`); only a face
+list that does not is handed to networkx max-flow, which then gives the
+connectivity and the cut that a rejection reports.  Polyhedral maps are
+closed under duality, so a dual is built without a second validation.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import combinations
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -60,15 +65,14 @@ class CombinatorialMap:
         return {frozenset(f) for f in self.faces}
 
 
-def _face_edge_list(face):
-    return [frozenset((face[i], face[(i + 1) % len(face)])) for i in range(len(face))]
-
-
 def validate_map(raw, name: str | None = None) -> CombinatorialMap:
     """Validate raw map data (dict with 'vertices' and 'faces') and build the map.
 
     Raises one of the MapValidationError subclasses naming the offending
-    element, or ParseError for structurally malformed input.
+    element, or ParseError for structurally malformed input.  Faces that
+    form a polyhedral map (`_polyhedral`) certify 3-connectivity; any other
+    face list is decided by networkx max-flow, which also gives the cut a
+    rejection reports.
     """
     if isinstance(raw, CombinatorialMap):
         raw = {"vertices": raw.n_vertices, "faces": [list(f) for f in raw.faces],
@@ -93,26 +97,30 @@ def validate_map(raw, name: str | None = None) -> CombinatorialMap:
         if len(set(f)) != len(f):
             raise DegenerateFace(i, f, "repeated vertex")
 
-    edge_count = Counter()
-    for f in faces:
-        edge_count.update(_face_edge_list(f))
-    for e, c in sorted(edge_count.items(), key=lambda kv: sorted(kv[0])):
-        if c != 2:
-            raise EdgeNotInTwoFaces(sorted(e), c)
+    # Edges are keyed in the order networkx is given them below, which
+    # decides the cut that a rejection reports.
+    edge_faces: dict[frozenset[int], list[int]] = {}
+    for fi, f in enumerate(faces):
+        for i, u in enumerate(f):
+            edge_faces.setdefault(frozenset((u, f[(i + 1) % len(f)])), []).append(fi)
+    for e, fs in sorted(edge_faces.items(), key=lambda kv: sorted(kv[0])):
+        if len(fs) != 2:
+            raise EdgeNotInTwoFaces(sorted(e), len(fs))
 
-    v, e, fc = n, len(edge_count), len(faces)
+    v, e, fc = n, len(edge_faces), len(faces)
     if v - e + fc != 2:
         raise EulerViolation(v, e, fc)
 
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(tuple(sorted(ed)) for ed in edge_count)
-    if not nx.is_connected(g):
-        raise NotThreeConnected(0, None)
-    k = nx.node_connectivity(g)
-    if k < 3:
-        cut = nx.minimum_node_cut(g)
-        raise NotThreeConnected(k, cut)
+    if not _polyhedral(_vertex_stars(n, faces), edge_faces):
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(tuple(sorted(ed)) for ed in edge_faces)
+        if not nx.is_connected(g):
+            raise NotThreeConnected(0, None)
+        k = nx.node_connectivity(g)
+        if k < 3:
+            cut = nx.minimum_node_cut(g)
+            raise NotThreeConnected(k, cut)
 
     edges = raw.get("edges")
     if edges is not None:
@@ -120,61 +128,118 @@ def validate_map(raw, name: str | None = None) -> CombinatorialMap:
                 isinstance(ed, list) and all(isinstance(v, int) for v in ed) for ed in edges):
             raise ParseError("'edges' must be a list of vertex lists")
         given = {frozenset(ed) for ed in edges}
-        if given != set(edge_count):
+        if given != set(edge_faces):
             raise ParseError("explicit edge list does not match edges derived from faces")
 
     return CombinatorialMap(n, tuple(tuple(f) for f in faces), name)
 
 
-def _rotation_at_vertex(m: CombinatorialMap, v: int) -> list[int]:
-    """Indices of the faces incident to v, in rotation order around v."""
-    incident = {}
-    for fi, f in enumerate(m.faces):
-        if v in f:
-            i = f.index(v)
-            e1 = frozenset((v, f[i - 1]))
-            e2 = frozenset((v, f[(i + 1) % len(f)]))
-            incident[fi] = (e1, e2)
-    by_edge = {}
-    for fi, (e1, e2) in incident.items():
-        by_edge.setdefault(e1, []).append(fi)
-        by_edge.setdefault(e2, []).append(fi)
-    # Consecutive faces around v share an edge at v.  Face orientations are
-    # not assumed consistent: enter each face through one of its two edges
-    # at v and leave through the other.
-    start = min(incident)
+def _vertex_stars(n: int, faces) -> list[list[tuple[int, int, int]]]:
+    """For each vertex v, (face index, vertex before v, vertex after v) of
+    every face through v, in face order."""
+    stars = [[] for _ in range(n)]
+    for fi, f in enumerate(faces):
+        for i, v in enumerate(f):
+            stars[v].append((fi, f[i - 1], f[(i + 1) % len(f)]))
+    return stars
+
+
+def _star_walk(star) -> list[int]:
+    """Walk the faces of one vertex star through the edges at the vertex.
+
+    Consecutive faces around a vertex share an edge at it.  Face
+    orientations are not assumed consistent: the walk enters each face
+    through one of its two edges at the vertex and leaves through the
+    other.  It starts at the first face, entering through the edge to the
+    vertex before the centre, and stops on returning there, or after one
+    step per face of the star, so the star is a single cycle exactly when
+    the walk lists every face of it.  Needs every edge at the centre in
+    exactly two faces of the star.
+    """
+    ends = {fi: (a, b) for fi, a, b in star}
+    faces_at = {}
+    for fi, a, b in star:
+        faces_at.setdefault(a, []).append(fi)
+        faces_at.setdefault(b, []).append(fi)
+    start = star[0][0]
     order = [start]
-    cur, entry = start, incident[start][0]
-    while True:
-        e1, e2 = incident[cur]
-        exit_edge = e2 if entry == e1 else e1
-        a, b = by_edge[exit_edge]
-        nxt = b if a == cur else a
+    cur, entry = start, ends[start][0]
+    for _ in star:
+        a, b = ends[cur]
+        leave = b if entry == a else a
+        f1, f2 = faces_at[leave]
+        nxt = f2 if f1 == cur else f1
         if nxt == start:
             break
         order.append(nxt)
-        cur, entry = nxt, exit_edge
-        if len(order) > len(incident):
-            raise DegenerateFace(cur, m.faces[cur], f"inconsistent rotation at vertex {v}")
-    if len(order) != len(incident):
-        raise DegenerateFace(start, m.faces[start], f"vertex star of {v} not a single cycle")
+        cur, entry = nxt, leave
+    return order
+
+
+def _polyhedral(stars, edge_faces) -> bool:
+    """Whether faces already known to be simple cycles, with every edge in
+    exactly two faces and V - E + F = 2, form a polyhedral map on the
+    sphere, whose graph is then 3-connected.
+
+    It checks that (a) the graph is connected, (b) the faces through each
+    vertex form a single cycle when linked through the edges at that vertex,
+    and (c) two distinct faces share nothing, one vertex, or exactly the two
+    ends of one edge they both contain.
+
+    Proof.  Glue a disk to every facial cycle.  Every edge lies on two
+    disks, and by (b) the disks around each vertex close up into one disk
+    around it, so the result is a closed surface; by (a) it is connected,
+    and its Euler characteristic V - E + F = 2 makes it the sphere.  With
+    (c) the faces meet as in a polyhedral map, and a map on the sphere is
+    polyhedral exactly when its graph is 3-connected (Brehm-Schulte,
+    "Polyhedral maps", Handbook of Discrete and Computational Geometry).
+    The cost is O(sum of squared degrees).  False means only that the
+    faces do not show it; the caller then decides with max-flow.
+    """
+    seen = {0}
+    todo = [0]
+    while todo:
+        for _, a, b in stars[todo.pop()]:
+            for u in (a, b):
+                if u not in seen:
+                    seen.add(u)
+                    todo.append(u)
+    if len(seen) != len(stars):
+        return False
+    if any(len(_star_walk(star)) != len(star) for star in stars):
+        return False
+    shared = Counter()
+    for star in stars:
+        shared.update(combinations([fi for fi, _, _ in star], 2))
+    edge_pairs = {tuple(fs) for fs in edge_faces.values()}
+    return all(c < 2 or (c == 2 and pair in edge_pairs) for pair, c in shared.items())
+
+
+def _rotation_at_vertex(m: CombinatorialMap, star, v: int) -> list[int]:
+    """Indices of the faces incident to v, in rotation order around v."""
+    order = _star_walk(star)
+    if len(order) != len(star):
+        raise DegenerateFace(order[0], m.faces[order[0]],
+                             f"vertex star of {v} not a single cycle")
     return order
 
 
 def dual_map(m: CombinatorialMap) -> CombinatorialMap:
     """Polar dual: vertices <-> faces, dual faces = vertex stars in rotation
-    order.  It is built and validated once per map object and kept on it."""
+    order.  It is built once per map object and kept on it.  The dual of a
+    polyhedral map is polyhedral, so it is not validated again; m must be a
+    validated map."""
     if m._dual is None:
         object.__setattr__(m, "_dual", _build_dual(m))
     return m._dual
 
 
 def _build_dual(m: CombinatorialMap) -> CombinatorialMap:
-    dual_faces = tuple(tuple(_rotation_at_vertex(m, v)) for v in range(m.n_vertices))
+    stars = _vertex_stars(m.n_vertices, m.faces)
+    dual_faces = tuple(tuple(_rotation_at_vertex(m, star, v))
+                       for v, star in enumerate(stars))
     name = f"dual({m.name})" if m.name else None
-    out = CombinatorialMap(m.n_faces, dual_faces, name)
-    return validate_map({"vertices": out.n_vertices,
-                         "faces": [list(f) for f in out.faces]}, name)
+    return CombinatorialMap(m.n_faces, dual_faces, name)
 
 
 def maps_isomorphic(a: CombinatorialMap, b: CombinatorialMap) -> bool:

@@ -18,21 +18,30 @@ from .linalg import eliminate, pivot, scaled, values
 LE, GE, EQ = "<=", ">=", "="
 
 
+def _exact(x):
+    """x as an int or a Fraction: ints are kept, anything else becomes a
+    Fraction."""
+    return x if type(x) is int else Fraction(x)
+
+
 @dataclass
 class LinearProgram:
-    """maximize c . x  subject to  rows (a, rel, b), x >= 0."""
+    """maximize c . x  subject to  rows (a, rel, b), x >= 0.
+
+    Coefficients are ints or Fractions; an integer row skips the Fraction
+    constructions, and the solver reads both alike."""
 
     n_vars: int
-    objective: list[Fraction]
-    rows: list[tuple[list[Fraction], str, Fraction]] = field(default_factory=list)
+    objective: list[int | Fraction]
+    rows: list[tuple[list[int | Fraction], str, int | Fraction]] = field(default_factory=list)
 
     def add_row(self, a, rel: str, b):
         if rel not in (LE, GE, EQ):
             raise ValueError(f"unknown row relation {rel!r}")
-        a = [Fraction(x) for x in a]
+        a = [_exact(x) for x in a]
         if len(a) != self.n_vars:
             raise ValueError(f"row has {len(a)} coefficients, expected {self.n_vars}")
-        self.rows.append((a, rel, Fraction(b)))
+        self.rows.append((a, rel, _exact(b)))
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -57,14 +58,15 @@ def test_analyze_decides_inscribability_once(mapfile, capsys, monkeypatch):
 
 def test_analyze_decides_supertoughness_once(mapfile, capsys, monkeypatch):
     # the truncated tetrahedron is simple and not bipartite, so the
-    # simple-polytope characterization needs the supertoughness answer
+    # simple-polytope characterization needs the supertoughness answer; one
+    # cutset scan answers it and 1-toughness, and neither test runs again
     calls = []
-    supertough = graphs.is_one_supertough
+    scan = graphs.toughness_scan
 
     def counted(g, budget):
         calls.append(g)
-        return supertough(g, budget)
-    monkeypatch.setattr(graphs, "is_one_supertough", counted)
+        return scan(g, budget)
+    monkeypatch.setattr(graphs, "toughness_scan", counted)
     rc, out = run(capsys, "analyze", mapfile("truncated-tetrahedron"), "--json")
     assert rc == 0 and len(calls) == 1
     outcomes = {t["name"]: t["outcome"] for t in json.loads(out)["tests"]}
@@ -181,7 +183,7 @@ def test_caps_and_separator(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["ply"]["depth"] == 3
     rc1, out1 = run(capsys, "separator", str(capsfile), "--trials", "20",
                     "--seed", "3", "--json")
-    rc2, out2 = run(capsys, "--seed", "3", "separator", str(capsfile),
+    rc2, out2 = run(capsys, "separator", str(capsfile), "--seed", "3",
                     "--trials", "20", "--json")
     assert rc1 == rc2 == 0 and out1 == out2
     rc3, out3 = run(capsys, "separator", str(capsfile), "--trials", "20",
@@ -262,6 +264,8 @@ def test_malformed_point_and_map_files_fail_cleanly(tmp_path, capsys, command, t
     ["caps", "{caps}", "--samples", "100"],
     ["caps", "{caps}", "--ply", "exact", "--samples", "100"],
     ["caps", "{caps}", "--ply", "exact", "-o", "{out}"],
+    ["caps", "{caps}", "--ply", "exact", "--seed", "1"],
+    ["caps", "--from-points", "{points}", "--seed", "1"],
     ["generate", "--family", "cyclic-trig", "--n", "6", "--d", "4", "--params", "0", "1", "2"],
 ])
 def test_bad_arguments_and_unwritable_outputs_fail_cleanly(tmp_path, capsys, argv):
@@ -276,6 +280,42 @@ def test_bad_arguments_and_unwritable_outputs_fail_cleanly(tmp_path, capsys, arg
     captured = capsys.readouterr()
     assert rc == 1 and captured.err.startswith("error:") and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "{map}", "--question", "bogus"],
+    ["analyze"],
+    # each flag is declared only on the subcommands that read it
+    ["analyze", "{map}", "--seed", "1"],
+    ["--seed", "1", "analyze", "{map}"],
+    ["decide", "{map}", "--question", "inscribable", "--budget-subsets", "5"],
+])
+def test_usage_errors_exit_one(mapfile, capsys, argv):
+    # argparse's own exit code 2 is the code that means UNKNOWN
+    f = mapfile("tetrahedron")
+    rc = main([a.format(map=f) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.err.startswith("error:") and captured.out == ""
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decide", "--help"])
+    assert exc.value.code == 0 and "--question" in capsys.readouterr().out
+
+
+def test_main_builds_one_parser(mapfile, capsys, monkeypatch):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    f = mapfile("tetrahedron")
+    assert run(capsys, "decide", f, "--question", "inscribable")[0] == 0
+    assert run(capsys, "decide", f, "--question", "circumscribable")[0] == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

@@ -1,16 +1,20 @@
+import random
 from itertools import combinations
 
 import networkx as nx
 import pytest
 
-from polyscribe.corpus import named_polytope
+from polyscribe.corpus import CORPUS_NAMES, named_polytope
 from polyscribe.errors import BudgetExceeded
-from polyscribe.graphs import (hamiltonian_cycle, independent_set_obstruction,
+from polyscribe.graphs import (_components_mask, _neighbor_masks,
+                               hamiltonian_cycle, independent_set_obstruction,
                                is_one_supertough, is_one_tough,
                                max_independent_set,
                                simple_polytope_characterization,
-                               steinitz_paint_test, vertex_connectivity)
-from polyscribe.verdicts import Answer, recheck_certificate
+                               steinitz_paint_test, toughness_scan,
+                               vertex_connectivity)
+from polyscribe.verdicts import (Answer, CertKind, Certificate,
+                                 recheck_certificate)
 
 
 def _brute_alpha(g):
@@ -124,3 +128,87 @@ def test_simple_characterization():
     v = simple_polytope_characterization(named_polytope("truncated-tetrahedron"))
     assert v is not None and v.answer is Answer.YES
     assert "supertough" in v.note
+
+
+# ------------------------------------------------- reference toughness
+
+def _cutset_scan(g, budget, what, ks, at_least, kind, name):
+    """The separate scan each toughness test ran before they shared one:
+    cutsets S by size k in ks for one that leaves more than k components
+    (at least k when at_least); (True, None) if there is none."""
+    n = g.number_of_nodes()
+    if n > budget:
+        raise BudgetExceeded(what, n, budget)
+    nodes, masks = _neighbor_masks(g)
+    full = (1 << n) - 1
+    for k in ks:
+        for subset in combinations(range(n), k):
+            rm = 0
+            for i in subset:
+                rm |= 1 << i
+            comps = _components_mask(masks, full & ~rm)
+            if comps >= (k if at_least else k + 1):
+                cut = [nodes[i] for i in subset]
+                return False, Certificate(
+                    kind, {"cutset": cut, "components": comps},
+                    f"removing {k} vertices leaves {comps} components: not {name}",
+                )
+    return True, None
+
+
+def _ref_tests(g, budget):
+    n = g.number_of_nodes()
+    out = []
+    for args in (("toughness enumeration", range(1, (n - 1) // 2 + 1), False,
+                  CertKind.TOUGHNESS_VIOLATION, "1-tough"),
+                 ("supertoughness enumeration", range(2, n // 2 + 1), True,
+                  CertKind.SUPERTOUGH_VIOLATION, "1-supertough")):
+        try:
+            out.append(_cutset_scan(g, budget, *args))
+        except BudgetExceeded as exc:
+            out.append(str(exc))
+    return out
+
+
+def _projected(fn, g, budget):
+    try:
+        return fn(g, budget)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def _assert_scan_matches_reference(g, budget=22):
+    ref = _ref_tests(g, budget)
+    scan = [str(r) if isinstance(r, BudgetExceeded) else r
+            for r in toughness_scan(g, budget)]
+    assert scan == ref
+    assert [_projected(is_one_tough, g, budget),
+            _projected(is_one_supertough, g, budget)] == ref
+    return ref
+
+
+def test_toughness_scan_matches_reference_on_random_graphs():
+    verdicts = set()
+    for seed in range(120):
+        rng = random.Random(seed)
+        n = rng.randint(1, 12)
+        g = nx.gnp_random_graph(n, rng.uniform(0.1, 0.7), seed=seed)
+        if seed % 3 == 0 and n > 2:
+            # a pendant path through a cut vertex
+            g.add_edges_from([(0, n), (n, n + 1)])
+        ref = _assert_scan_matches_reference(g)
+        verdicts.add((ref[0][0], ref[1][0]))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_toughness_scan_matches_reference_on_corpus():
+    for name in CORPUS_NAMES:
+        g = named_polytope(name).graph()
+        _assert_scan_matches_reference(g, 16)
+
+
+def test_toughness_scan_over_budget():
+    g = nx.cycle_graph(23)
+    ref = _assert_scan_matches_reference(g)
+    assert ref == ["toughness enumeration: needs 23, budget 22",
+                   "supertoughness enumeration: needs 23, budget 22"]

@@ -1,10 +1,19 @@
+import random
+from collections import Counter
+from itertools import combinations
+
+import networkx as nx
 import pytest
 
-from polyscribe.corpus import CORPUS_NAMES, named_polytope
+from polyscribe import maps
+from polyscribe.corpus import (CORPUS_NAMES, kleetope, named_polytope, prism,
+                               stack_on_face)
 from polyscribe.errors import (DegenerateFace, EdgeNotInTwoFaces,
-                               EulerViolation, NotThreeConnected)
-from polyscribe.maps import (dual_map, maps_isomorphic, parse_map_json,
-                             serialize_map_json, validate_map)
+                               EulerViolation, NotThreeConnected, ParseError,
+                               PolyscribeError)
+from polyscribe.maps import (CombinatorialMap, _rotation_at_vertex,
+                             _vertex_stars, dual_map, maps_isomorphic,
+                             parse_map_json, serialize_map_json, validate_map)
 
 TETRA = {"vertices": 4, "faces": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}
 
@@ -67,3 +76,195 @@ def test_json_roundtrip():
     m = named_polytope("triakis-octahedron")
     again = parse_map_json(serialize_map_json(m))
     assert again.faces == m.faces and again.n_vertices == m.n_vertices
+
+
+# ------------------------------------------------- reference validation
+
+def ref_validate_map(raw, name=None):
+    """Map validation as it was before 3-connectivity was read off the
+    faces: networkx max-flow decides every map."""
+    if isinstance(raw, CombinatorialMap):
+        raw = {"vertices": raw.n_vertices, "faces": [list(f) for f in raw.faces],
+               "name": name or raw.name}
+    if not isinstance(raw, dict) or "vertices" not in raw or "faces" not in raw:
+        raise ParseError("map data must contain 'vertices' and 'faces'")
+    n = raw["vertices"]
+    faces = raw["faces"]
+    if not isinstance(n, int) or n < 4:
+        raise ParseError(f"vertex count must be an integer >= 4, got {n!r}")
+    if not isinstance(faces, (list, tuple)) or not all(isinstance(f, (list, tuple))
+                                                       for f in faces):
+        raise ParseError("'faces' must be a list of vertex lists")
+    name = name or raw.get("name")
+    for i, f in enumerate(faces):
+        if len(f) < 3:
+            raise DegenerateFace(i, f, "fewer than 3 vertices")
+        for v in f:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                raise DegenerateFace(i, f, f"vertex {v} out of range [0, {n})")
+        if len(set(f)) != len(f):
+            raise DegenerateFace(i, f, "repeated vertex")
+    edge_count = Counter()
+    for f in faces:
+        edge_count.update(frozenset((f[i], f[(i + 1) % len(f)])) for i in range(len(f)))
+    for e, c in sorted(edge_count.items(), key=lambda kv: sorted(kv[0])):
+        if c != 2:
+            raise EdgeNotInTwoFaces(sorted(e), c)
+    v, e, fc = n, len(edge_count), len(faces)
+    if v - e + fc != 2:
+        raise EulerViolation(v, e, fc)
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(tuple(sorted(ed)) for ed in edge_count)
+    if not nx.is_connected(g):
+        raise NotThreeConnected(0, None)
+    k = nx.node_connectivity(g)
+    if k < 3:
+        raise NotThreeConnected(k, nx.minimum_node_cut(g))
+    edges = raw.get("edges")
+    if edges is not None:
+        if not isinstance(edges, list) or not all(
+                isinstance(ed, list) and all(isinstance(v, int) for v in ed) for ed in edges):
+            raise ParseError("'edges' must be a list of vertex lists")
+        if {frozenset(ed) for ed in edges} != set(edge_count):
+            raise ParseError("explicit edge list does not match edges derived from faces")
+    return CombinatorialMap(n, tuple(tuple(f) for f in faces), name)
+
+
+def ref_dual(m):
+    """The dual as it was built before: rotations, then a full validation."""
+    stars = _vertex_stars(m.n_vertices, m.faces)
+    faces = [list(_rotation_at_vertex(m, star, v)) for v, star in enumerate(stars)]
+    name = f"dual({m.name})" if m.name else None
+    return ref_validate_map({"vertices": m.n_faces, "faces": faces}, name)
+
+
+def _outcome(fn, *args):
+    try:
+        m = fn(*args)
+    except PolyscribeError as exc:
+        return type(exc), str(exc)
+    return m.n_vertices, m.faces, m.name
+
+
+def _raw(m):
+    return {"vertices": m.n_vertices, "faces": [list(f) for f in m.faces]}
+
+
+def _assert_same_as_reference(raw):
+    got = _outcome(validate_map, raw)
+    assert got == _outcome(ref_validate_map, raw), raw
+    if isinstance(got[0], int):
+        m = validate_map(raw)
+        assert _outcome(dual_map, m) == _outcome(ref_dual, m), raw
+    return got
+
+
+def _generated_maps():
+    out = [named_polytope(name) for name in CORPUS_NAMES]
+    out += [prism(k) for k in range(3, 13)]
+    out += [kleetope(named_polytope(name))
+            for name in ("tetrahedron", "cube", "octahedron", "icosahedron",
+                         "dodecahedron", "cuboctahedron")]
+    out += [kleetope(kleetope(named_polytope("tetrahedron")))]
+    for name in ("octahedron", "cube", "truncated-tetrahedron", "prism-5"):
+        m = named_polytope(name)
+        for fi in range(m.n_faces):
+            out.append(stack_on_face(m, fi))
+    return out
+
+
+def test_validation_matches_reference_on_generated_maps():
+    for m in _generated_maps():
+        for raw in (_raw(m), _raw(dual_map(m))):
+            assert isinstance(_assert_same_as_reference(raw)[0], int)
+
+
+def _plane_map(seed):
+    """Faces of a planar embedding of a random connected graph, or None.
+    Even seeds draw a gnp graph; odd seeds thin a random stacked
+    triangulation, which leaves many graphs 3-connected, and shuffle and
+    reverse its faces."""
+    rng = random.Random(seed)
+    if seed % 2 == 0:
+        n = rng.randint(4, 12)
+        g = nx.gnp_random_graph(n, rng.uniform(0.25, 0.8), seed=seed)
+    else:
+        m = named_polytope("tetrahedron")
+        for _ in range(rng.randint(1, 8)):
+            m = stack_on_face(m, rng.randrange(m.n_faces))
+        n, g = m.n_vertices, m.graph()
+        thin = rng.choice((0, 0.05, 0.1, 0.2))
+        g.remove_edges_from([e for e in sorted(g.edges) if rng.random() < thin])
+    if not nx.is_connected(g):
+        return None
+    planar, emb = nx.check_planarity(g)
+    if not planar:
+        return None
+    faces, marked = [], set()
+    for u, v in emb.edges():
+        if (u, v) not in marked:
+            faces.append(emb.traverse_face(u, v, mark_half_edges=marked))
+    if seed % 2:
+        rng.shuffle(faces)
+        faces = [f[::-1] if rng.random() < 0.5 else f for f in faces]
+    return {"vertices": n, "faces": faces}
+
+
+def test_validation_matches_reference_on_random_plane_maps():
+    outcomes = Counter()
+    for seed in range(700):
+        raw = _plane_map(seed)
+        if raw is not None:
+            got = _assert_same_as_reference(raw)
+            outcomes[got[0] if isinstance(got[0], type) else "accepted"] += 1
+    assert sum(outcomes.values()) > 450
+    assert outcomes["accepted"] > 150 and outcomes[NotThreeConnected] > 100
+
+
+def test_validation_matches_reference_on_special_face_lists():
+    # K_{2,3} as three quadrilaterals: a sphere, but two faces share three
+    # vertices, and {0, 1} is a 2-cut
+    k23 = {"vertices": 5, "faces": [[0, 2, 1, 3], [0, 3, 1, 4], [0, 4, 1, 2]]}
+    assert _assert_same_as_reference(k23)[0] is NotThreeConnected
+    # two tetrahedra glued at a vertex: V - E + F = 7 - 12 + 8 = 3
+    glued = {"vertices": 7, "faces": TETRA["faces"] + [
+        [0, 4, 5], [0, 4, 6], [0, 5, 6], [4, 5, 6]]}
+    assert _assert_same_as_reference(glued)[0] is EulerViolation
+    # a tetrahedron and a disjoint 7-vertex torus: 11 - 27 + 18 = 2
+    torus = [[4 + i, 4 + (i + 1) % 7, 4 + (i + 3) % 7] for i in range(7)]
+    torus += [[4 + i, 4 + (i + 2) % 7, 4 + (i + 3) % 7] for i in range(7)]
+    apart = {"vertices": 11, "faces": TETRA["faces"] + torus}
+    assert _assert_same_as_reference(apart)[0] is NotThreeConnected
+    # two octahedra glued at both poles: 10 - 24 + 16 = 2, faces meet in at
+    # most a vertex, but the poles' stars are two cycles each and the poles
+    # are a 2-cut
+    octa = [[0, 2, 4], [2, 1, 4], [1, 3, 4], [3, 0, 4],
+            [2, 0, 5], [1, 2, 5], [3, 1, 5], [0, 3, 5]]
+    relabel = {0: 6, 1: 7, 2: 8, 3: 9, 4: 4, 5: 5}
+    poles = {"vertices": 10, "faces": octa + [[relabel[v] for v in f] for f in octa]}
+    assert _assert_same_as_reference(poles)[0] is NotThreeConnected
+    # four tetrahedra glued pairwise at six vertices, like the faces of a
+    # tetrahedron at its edges: V - E + F = 10 - 24 + 16 = 2 and the graph
+    # (an octahedron with four alternate faces stacked) is 3-connected, but
+    # the stars of the six shared vertices are two cycles each.  It is
+    # accepted as before, and its dual fails as before.
+    shared = {e: i for i, e in enumerate(combinations(range(4), 2))}
+    faces = []
+    for apex, corner in enumerate(combinations(range(4), 3)):
+        a, b, c = (shared[e] for e in combinations(corner, 2))
+        faces += [[a, b, c], [a, b, 6 + apex], [a, c, 6 + apex], [b, c, 6 + apex]]
+    pinched = {"vertices": 10, "faces": faces}
+    assert _assert_same_as_reference(pinched)[0] == 10
+    with pytest.raises(DegenerateFace, match="not a single cycle"):
+        dual_map(validate_map(pinched))
+
+
+def test_polyhedral_maps_need_no_max_flow(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("max-flow run on a polyhedral map")
+    for fn in ("is_connected", "node_connectivity", "minimum_node_cut"):
+        monkeypatch.setattr(maps.nx, fn, refuse)
+    for name in CORPUS_NAMES:
+        m = parse_map_json(serialize_map_json(named_polytope(name)))
+        dual_map(m)

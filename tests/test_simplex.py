@@ -110,6 +110,28 @@ def test_fuzz_against_scipy(seed):
             assert verify_farkas(lp, res.farkas)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_rows_solve_like_fraction_rows(seed):
+    # the same program with int and with Fraction coefficients: equal
+    # answers, including degenerate and infeasible programs
+    rng = random.Random(seed)
+    statuses = set()
+    for _ in range(60):
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        obj = [rng.randint(-4, 4) for _ in range(n)]
+        rows = [([rng.randint(-3, 3) for _ in range(n)], rng.choice([LE, GE, EQ]),
+                 0 if rng.random() < 0.35 else rng.randint(-5, 5)) for _ in range(m)]
+        as_int = LinearProgram(n, obj)
+        for a, rel, b in rows:
+            as_int.add_row(a, rel, b)
+        assert all(type(x) is int for a, _, b in as_int.rows for x in a + [b])
+        got, ref = solve_lp(as_int), solve_lp(_lp(n, obj, rows))
+        assert (got.status, got.objective, got.x, got.duals, got.farkas) == \
+            (ref.status, ref.objective, ref.x, ref.duals, ref.farkas)
+        statuses.add(got.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+
 def test_verifiers_reject_garbage():
     lp = _lp(2, [1, 1], [([1, 2], LE, 4), ([3, 1], LE, 6)])
     assert not verify_dual_bound(lp, [F(0), F(0)], F(14, 5))
