@@ -35,11 +35,11 @@ from functools import cached_property
 from operator import itemgetter, mul
 from typing import NamedTuple
 
-import networkx as nx
 import numpy as np
 
 from .errors import (DegenerateConfiguration, MonteCarloOnly, ParseError,
                      PointInsideBall)
+from .lazy import nx
 from .linalg import dot, norm_sq, scaled
 from .points import PointConfiguration
 from .rationals import format_rational, format_vector, parse_rational, parse_vector

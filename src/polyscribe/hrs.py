@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 
-import networkx as nx
-
 from .errors import BudgetExceeded
 from .graphs import DEFAULT_HAMILTON_BUDGET, hamiltonian_cycle, hamiltonian_certificate
+from .lazy import nx
 from .linalg import scaled
 from .maps import CombinatorialMap, dual_map
 from .rationals import format_rational, parse_rational

@@ -3,6 +3,10 @@
 Facets are found by exhausting affinely independent d-subsets: the
 spanned hyperplane is a facet hyperplane iff all points lie in one closed
 halfspace.  Lower faces are the intersections of facets, grouped by rank.
+The points are first moved to an integer frame (`linalg.integer_frame`):
+translated to the first point and scaled by the common denominator, which
+keeps every hyperplane side and affine rank.  Normals are scaled to
+integers, so every side test and rank runs on Python ints.
 Deliberately not an incremental hull: desk scale, exact arithmetic,
 simplest correct method.
 """
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceeded, DegenerateSpan
-from .linalg import affine_rank, dot, nullspace, vsub
+from .linalg import affine_rank, dot, integer_frame, nullspace, scaled, vsub
 from .points import PointConfiguration
 
 DEFAULT_MAX_POINTS = 12
@@ -38,8 +42,9 @@ class FaceLattice:
 def facet_hyperplane(points, subset):
     """Normal/offset of the hyperplane through an affinely independent subset.
 
-    Returns (a, b) with <a, x> = b on the hyperplane, or None if the
-    subset spans less than a hyperplane.
+    Returns (a, b) with <a, x> = b on the hyperplane and a an integer
+    vector (b is an int too for integer points), or None if the subset
+    spans less than a hyperplane.
     """
     pts = [points[i] for i in subset]
     p0 = pts[0]
@@ -47,8 +52,12 @@ def facet_hyperplane(points, subset):
     ns = nullspace(rows)
     if len(ns) != 1:
         return None
-    a = tuple(ns[0])
+    a = tuple(scaled(ns[0])[:-1])
     return a, dot(a, p0)
+
+
+def _integer_points(pc: PointConfiguration):
+    return integer_frame(pc.points, pc.points[0])[0] if pc.points else []
 
 
 def enumerate_facets(pc: PointConfiguration) -> list[frozenset[int]]:
@@ -57,18 +66,20 @@ def enumerate_facets(pc: PointConfiguration) -> list[frozenset[int]]:
     if n > DEFAULT_MAX_POINTS or d > DEFAULT_MAX_DIM:
         raise BudgetExceeded("facet enumeration", f"n={n}, d={d}",
                              f"n<={DEFAULT_MAX_POINTS}, d<={DEFAULT_MAX_DIM}")
-    if affine_rank(pc.points) != d:
-        raise DegenerateSpan(f"points span affine dimension {affine_rank(pc.points)}, not {d}")
+    pts = _integer_points(pc)
+    rank = affine_rank(pts)
+    if rank != d:
+        raise DegenerateSpan(f"points span affine dimension {rank}, not {d}")
 
     facets: set[frozenset[int]] = set()
     for subset in combinations(range(n), d):
-        hp = facet_hyperplane(pc.points, subset)
+        hp = facet_hyperplane(pts, subset)
         if hp is None:
             continue
         a, b = hp
         pos = neg = False
         on = []
-        for i, p in enumerate(pc.points):
+        for i, p in enumerate(pts):
             s = dot(a, p) - b
             if s > 0:
                 pos = True
@@ -100,9 +111,10 @@ def build_face_lattice(pc: PointConfiguration) -> FaceLattice:
                     new.add(h)
         proper |= new
         frontier = new
+    pts = _integer_points(pc)
     by_rank: list[list[frozenset[int]]] = [[] for _ in range(d)]
     for f in proper:
-        r = affine_rank([pc.points[i] for i in f])
+        r = affine_rank([pts[i] for i in f])
         if r < d:
             by_rank[r].append(f)
     # Faces are exactly the intersections that are maximal for their vertex

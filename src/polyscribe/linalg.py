@@ -6,6 +6,11 @@ arithmetic keeps every value exact and is much cheaper than Fraction
 arithmetic (fraction-free elimination, Bareiss 1968); the values, and so
 every pivot choice, are those of the rational rows.  `rref` and the
 simplex tableau share the one Gauss-Jordan step, `pivot`.
+
+Callers that work in exact geometry move a whole point set to integers
+once (`integer_frame`): translating and scaling by a positive integer keep
+affine ranks, hyperplane sides and nearest-point locations, so their
+tests then run on Python ints.  The vector helpers keep int inputs ints.
 """
 
 from __future__ import annotations
@@ -105,16 +110,25 @@ def nullspace(rows):
     return basis
 
 
-def dot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
-def norm_sq(v) -> Fraction:
+def norm_sq(v):
     return dot(v, v)
 
 
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v))
+
+
+def integer_frame(points, origin):
+    """The vectors D (p - origin) of the points as int tuples, and D > 0,
+    the common denominator of the recentred coordinates."""
+    d = len(origin)
+    flat = scaled([x - o for p in points for x, o in zip(p, origin)])
+    den = flat.pop()
+    return [tuple(flat[k:k + d]) for k in range(0, len(flat), d)], den
 
 
 def affine_rank(points) -> int:

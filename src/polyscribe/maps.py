@@ -6,8 +6,10 @@ is a simple cycle, every edge lies in exactly two faces, Euler's relation
 holds, and the graph is 3-connected.  3-connectivity is read off the faces
 themselves when they form a polyhedral map (see `_polyhedral`); only a face
 list that does not is handed to networkx max-flow, which then gives the
-connectivity and the cut that a rejection reports.  Polyhedral maps are
-closed under duality, so a dual is built without a second validation.
+connectivity and the cut that a rejection reports; when its graph is
+3-connected all the same, some vertex star is pinched, and the faces are
+rejected for it.  Polyhedral maps are closed under duality, so a dual is
+built without a second validation.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from collections import Counter
 from itertools import combinations
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from .errors import (
     DegenerateFace,
     EdgeNotInTwoFaces,
@@ -26,6 +26,7 @@ from .errors import (
     NotThreeConnected,
     ParseError,
 )
+from .lazy import nx
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,8 @@ def validate_map(raw, name: str | None = None) -> CombinatorialMap:
     element, or ParseError for structurally malformed input.  Faces that
     form a polyhedral map (`_polyhedral`) certify 3-connectivity; any other
     face list is decided by networkx max-flow, which also gives the cut a
-    rejection reports.
+    rejection reports; if that graph is 3-connected, DegenerateFace names a
+    pinched vertex star.
     """
     if isinstance(raw, CombinatorialMap):
         raw = {"vertices": raw.n_vertices, "faces": [list(f) for f in raw.faces],
@@ -111,7 +113,8 @@ def validate_map(raw, name: str | None = None) -> CombinatorialMap:
     if v - e + fc != 2:
         raise EulerViolation(v, e, fc)
 
-    if not _polyhedral(_vertex_stars(n, faces), edge_faces):
+    stars = _vertex_stars(n, faces)
+    if not _polyhedral(stars, edge_faces):
         g = nx.Graph()
         g.add_nodes_from(range(n))
         g.add_edges_from(tuple(sorted(ed)) for ed in edge_faces)
@@ -121,6 +124,11 @@ def validate_map(raw, name: str | None = None) -> CombinatorialMap:
         if k < 3:
             cut = nx.minimum_node_cut(g)
             raise NotThreeConnected(k, cut)
+        # Faces whose vertex stars are single cycles glue into the sphere,
+        # and with a 3-connected graph they are polyhedral; so some vertex
+        # star here is pinched into several cycles.
+        for v, star in enumerate(stars):
+            _rotation_at_vertex(faces, star, v)
 
     edges = raw.get("edges")
     if edges is not None:
@@ -215,11 +223,11 @@ def _polyhedral(stars, edge_faces) -> bool:
     return all(c < 2 or (c == 2 and pair in edge_pairs) for pair, c in shared.items())
 
 
-def _rotation_at_vertex(m: CombinatorialMap, star, v: int) -> list[int]:
+def _rotation_at_vertex(faces, star, v: int) -> list[int]:
     """Indices of the faces incident to v, in rotation order around v."""
     order = _star_walk(star)
     if len(order) != len(star):
-        raise DegenerateFace(order[0], m.faces[order[0]],
+        raise DegenerateFace(order[0], faces[order[0]],
                              f"vertex star of {v} not a single cycle")
     return order
 
@@ -236,7 +244,7 @@ def dual_map(m: CombinatorialMap) -> CombinatorialMap:
 
 def _build_dual(m: CombinatorialMap) -> CombinatorialMap:
     stars = _vertex_stars(m.n_vertices, m.faces)
-    dual_faces = tuple(tuple(_rotation_at_vertex(m, star, v))
+    dual_faces = tuple(tuple(_rotation_at_vertex(m.faces, star, v))
                        for v, star in enumerate(stars))
     name = f"dual({m.name})" if m.name else None
     return CombinatorialMap(m.n_faces, dual_faces, name)

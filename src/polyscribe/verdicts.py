@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-import networkx as nx
+from .lazy import nx
 
 
 class Answer(enum.Enum):

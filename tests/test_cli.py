@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import polyscribe
 from polyscribe import graphs, hrs, hull, maps
 from polyscribe.cli import main
 from polyscribe.caps import (ply_depth_sampling, random_visibility_system,
@@ -118,6 +123,15 @@ def test_decide_exit_codes(mapfile, capsys, tmp_path):
     assert main(["analyze", str(tmp_path / "missing.json")]) == 1
 
 
+def test_decide_rejects_pinched_faces(tmp_path, capsys, pinched_raw):
+    path = tmp_path / "pinched.json"
+    path.write_text(json.dumps(pinched_raw))
+    rc = main(["decide", str(path), "--question", "inscribable"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "not a single cycle" in captured.err
+
+
 def test_generate_check_scribe_pipeline(tmp_path, capsys):
     pts = tmp_path / "c6.json"
     rc, _ = run(capsys, "generate", "--family", "cyclic-trig", "--n", "6",
@@ -127,6 +141,31 @@ def test_generate_check_scribe_pipeline(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["status"] == "PASS"
     rc, out = run(capsys, "scribe", str(pts), "--k", "0", "--json")
     assert rc == 0 and json.loads(out)["holds"] is True
+
+
+NETWORKX_ON_FIRST_USE = """
+import sys
+from polyscribe.cli import main
+d = sys.argv[1]
+main(["generate", "--family", "cyclic-trig", "--n", "6", "--d", "4", "-o", d + "/c6.json"])
+main(["check", d + "/c6.json"])
+main(["scribe", d + "/c6.json", "--k", "0"])
+assert "networkx" in sys.modules and "networkx.classes" not in sys.modules
+main(["analyze", d + "/cube.json", "--json"])
+assert "networkx.classes" in sys.modules
+"""
+
+
+def test_networkx_loads_on_first_graph_question(mapfile, tmp_path, capsys):
+    # the points questions leave networkx a placeholder; analyze then loads
+    # it and answers as in a process that imported it up front
+    rc, want = run(capsys, "analyze", mapfile("cube"), "--json")
+    assert rc == 0
+    src = Path(polyscribe.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", NETWORKX_ON_FIRST_USE, str(tmp_path)],
+                         capture_output=True, text=True, timeout=120, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.endswith(want) and out.stderr == ""
 
 
 def test_generate_named_coordinates_roundtrip(tmp_path, capsys):

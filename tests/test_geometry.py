@@ -229,6 +229,12 @@ def kernel_cases(cube_points):
                    for face in lattice.faces_of_rank(rank)]
 
 
+def _kernel_point(pc, support, lam, q):
+    """The point sum lambda_i p_i of a kernel solve's numerators over q."""
+    return tuple(sum((F(l, q) * pc.points[i][j] for i, l in zip(support, lam)), F(0))
+                 for j in range(pc.dimension))
+
+
 def test_face_kernel_matches_reference(cube_points):
     dependent = outside = 0
     for pc, faces in kernel_cases(cube_points):
@@ -240,13 +246,14 @@ def test_face_kernel_matches_reference(cube_points):
             assert min_norm_sq_over_face(pc, face, s) == (value, location), (pc.points, face)
             assert face_avoids(pc, face, s) == ref_face_avoids(pc, face, s), (pc.points, face)
             # the minimizer is unique: the kernel's least nonnegative
-            # candidate is the reference's point
+            # candidate is the reference's point, and its integer value is
+            # the reference's scaled by q D^2
             candidates = [(sup, *kernel.solve(sup)) for r in range(1, len(face) + 1)
                           for sup in combinations(face, r)]
-            support, lam, _ = min((c for c in candidates if all(l >= 0 for l in c[1])),
-                                  key=lambda c: c[2])
-            assert tuple(sum((l * pc.points[i][j] for i, l in zip(support, lam)), F(0))
-                         for j in range(pc.dimension)) == x_star
+            support, lam, mu, q = min((c for c in candidates if all(l >= 0 for l in c[1])),
+                                      key=lambda c: F(c[2], c[3]))
+            assert q > 0 and mu == value * q * kernel.den_sq
+            assert _kernel_point(pc, support, lam, q) == x_star
             dependent += len(face) > affine_rank([pc.points[i] for i in face]) + 1
     assert dependent and outside
 
@@ -262,26 +269,26 @@ def test_gram_kernel_on_dependent_supports(cube_points):
         for r in range(1, 6):
             for support in combinations(range(pc.n_points), r):
                 _, x, value = ref_min_norm_candidate(pc.points, pc.sphere.center, support)
-                lam, mu = kernel.solve(support)
-                assert mu == value
-                assert tuple(sum((l * pc.points[i][j] for i, l in zip(support, lam)), F(0))
-                             for j in range(pc.dimension)) == x
+                lam, mu, q = kernel.solve(support)
+                assert q > 0 and mu == value * q * kernel.den_sq
+                assert _kernel_point(pc, support, lam, q) == x
 
 
 def test_each_support_solved_once(monkeypatch):
     pc = generate_cyclic_trig(7, 4)
     lattice = build_face_lattice(pc)
+    # the kernel's only elimination is its support solve
     calls, requests = [], []
-    solve, kernel_solve = geometry.solve_linear, geometry._GramKernel.solve
+    reduce, kernel_solve = geometry.rref, geometry._GramKernel.solve
 
-    def counted(rows, rhs):
+    def counted(rows):
         calls.append(rows)
-        return solve(rows, rhs)
+        return reduce(rows)
 
     def requested(self, support):
         requests.append(support)
         return kernel_solve(self, support)
-    monkeypatch.setattr(geometry, "solve_linear", counted)
+    monkeypatch.setattr(geometry, "rref", counted)
     monkeypatch.setattr(geometry._GramKernel, "solve", requested)
     report = check_ij_scribed(pc, lattice, pc.sphere, 1, 2)
     assert not report.holds and report.per_face

@@ -4,7 +4,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
-from polyscribe.corpus import CORPUS_NAMES, named_polytope
+from polyscribe.corpus import CORPUS_NAMES, named_polytope, prism
 from polyscribe.errors import BudgetExceeded
 from polyscribe.graphs import (_components_mask, _neighbor_masks,
                                hamiltonian_cycle, independent_set_obstruction,
@@ -13,6 +13,7 @@ from polyscribe.graphs import (_components_mask, _neighbor_masks,
                                simple_polytope_characterization,
                                steinitz_paint_test, toughness_scan,
                                vertex_connectivity)
+from polyscribe.maps import dual_map
 from polyscribe.verdicts import (Answer, CertKind, Certificate,
                                  recheck_certificate)
 
@@ -99,6 +100,22 @@ def test_connectivity():
     assert recheck_certificate(cert, named_polytope("icosahedron").graph())
     k, cert = vertex_connectivity(nx.complete_graph(4))
     assert k == 3 and cert.data["cutset"] is None
+
+
+def test_connectivity_is_the_cut_size():
+    # the corpus, the duals and prisms 3-19: the size of the one minimum cut
+    # is networkx's node connectivity, and the cut separates the graph
+    ms = [named_polytope(name) for name in CORPUS_NAMES]
+    ms += [dual_map(m) for m in ms] + [prism(k) for k in range(3, 20)]
+    for g in [m.graph() for m in ms] + [nx.complete_graph(4)]:
+        k, cert = vertex_connectivity(g)
+        assert k == nx.node_connectivity(g)
+        cut = cert.data["cutset"]
+        if cut is None:
+            assert g.number_of_edges() == k * (k + 1) // 2
+        else:
+            assert len(cut) == k and not nx.is_connected(g.subgraph(set(g) - set(cut)))
+        assert recheck_certificate(cert, g)
 
 
 def test_hamiltonian_cube():

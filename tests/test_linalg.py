@@ -8,8 +8,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from polyscribe.linalg import (affine_rank, matrix_rank, nullspace, rref,
-                               solve_linear, values, vsub)
+from polyscribe.linalg import (affine_rank, dot, integer_frame, matrix_rank,
+                               nullspace, rref, solve_linear, values, vsub)
 
 
 def ref_rref(rows):
@@ -161,3 +161,14 @@ def test_big_numerators_are_covered():
     assert max(abs(F(x).numerator) for row in rows for x in row) > 2 ** 200
     assert any(isinstance(x, int) for row in rows for x in row)
     assert any(isinstance(x, F) and x.denominator > 1 for row in rows for x in row)
+
+
+def test_integer_frame_keeps_ints_ints():
+    pts = [(F(1, 2), F(-3)), (F(2, 3), F(1, 6)), (F(0), F(5, 4))]
+    origin = (F(1, 3), F(1))
+    w, den = integer_frame(pts, origin)
+    assert den == 12 and all(type(x) is int for v in w for x in v)
+    assert [tuple(F(x, den) for x in v) for v in w] == [vsub(p, origin) for p in pts]
+    assert type(dot(w[0], w[1])) is int and dot(w[0], w[1]) == 144 * dot(
+        vsub(pts[0], origin), vsub(pts[1], origin))
+    assert affine_rank(w) == affine_rank(pts) == 2
