@@ -322,17 +322,6 @@ def cap_intersection_graph(cs: CapSystem) -> nx.Graph:
 
 # ------------------------------------------------------------------ ply depth
 
-def _canonical_ray(v):
-    """Primitive integer direction of a rational vector, preserving sign."""
-    *nums, _ = scaled(v)
-    g = math.gcd(*nums)
-    return tuple(x // g for x in nums)
-
-
-def _identity_key(cap: SphericalCap):
-    return _canonical_ray(cap.axis), cap.cos_sign, cap.cos_sq
-
-
 def _idot(u, v) -> int:
     return sum(map(mul, u, v))
 
@@ -423,13 +412,16 @@ def ply_depth(cs: CapSystem):
         return 0, None
     planes = _boundary_planes(cs)
     # Collapse identical caps; they contribute multiplicity, not geometry.
+    # Two caps are equal as sets exactly when their boundary planes
+    # <w, x> >= b agree in lowest integer terms.
     groups: dict = {}
-    for i, cap in enumerate(cs.caps):
-        groups.setdefault(_identity_key(cap), []).append(i)
+    for i, (w, b) in enumerate(planes):
+        row = scaled(w + (b,))[:-1]
+        g = math.gcd(*row)
+        groups.setdefault(tuple(x // g for x in row), []).append(i)
     reps = [members[0] for members in groups.values()]
     weight = np.array([len(members) for members in groups.values()])
-    rows = [scaled(planes[i][0] + (planes[i][1],))[:-1] for i in reps]
-    W, B = [tuple(row[:-1]) for row in rows], [row[-1] for row in rows]
+    W, B = [row[:-1] for row in groups], [row[-1] for row in groups]
 
     # The sign of <W_k, x> - B_k at a unit candidate x is that of
     # <a_k/||a_k||, x> - c_k: one product per block of candidates against
@@ -552,17 +544,6 @@ class SeparatorReport:
     min_hits: int
     median_hits: Fraction
     mean_hits: Fraction
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "trials": self.trials, "seed": self.seed,
-            "hit_counts": self.hit_counts,
-            "best_trial": self.best_trial, "best_hits": self.best_hits,
-            "best_components": self.best_components,
-            "min_hits": self.min_hits,
-            "median_hits": format_rational(self.median_hits),
-            "mean_hits": format_rational(self.mean_hits),
-        }, indent=1) + "\n"
 
 
 def _trial_normal(seed: int, trial: int, d: int):

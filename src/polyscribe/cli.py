@@ -140,7 +140,7 @@ def _run_analysis(m, path_text, path, budget_subsets,
     # their own smaller budget rather than --budget-subsets.  One scan
     # answers both, and the supertoughness result is kept for the
     # simple-polytope characterization.
-    scan = graphs.toughness_scan(g, graphs.DEFAULT_TOUGHNESS_BUDGET)
+    scan = graphs.toughness_scan(g)
     for name, result in zip(("1-tough", "1-supertough"), scan):
         if isinstance(result, BudgetExceeded):
             add(name, "UNKNOWN", str(result))
@@ -164,20 +164,25 @@ def _run_analysis(m, path_text, path, budget_subsets,
         "all degrees in [4,6]" if in_range else "some degree outside [4,6]")
 
     try:
-        simple = graphs.simple_polytope_characterization(
-            m, graphs.DEFAULT_TOUGHNESS_BUDGET, supertough=supertough)
+        simple = graphs.simple_polytope_characterization(m, supertough=supertough)
         if simple is None:
             add("simple-polytope characterization", "SKIP", "map is not simple")
         else:
             add("simple-polytope characterization", simple.answer.value,
                 simple.note, simple.certificates)
+            if verify_certs:
+                # its connectivity witness is the dual's (4-connected dual)
+                for cert in simple.certificates:
+                    verified &= recheck_certificate(
+                        cert, dual.graph() if cert.kind is CertKind.CONNECTIVITY_WITNESS
+                        else g)
     except BudgetExceeded as exc:
         add("simple-polytope characterization", "UNKNOWN", str(exc))
 
     # HRS both directions and the quadric criterion.
     insc = hrs.decide_inscribable(m)
     circ = hrs.decide_circumscribable(m)
-    quad = hrs.decide_quadric_inscribable(m, "hyperboloid", sphere=insc)
+    quad = hrs.decide_quadric_inscribable(m, sphere=insc)
     add("inscribable (angle system on dual)", insc.answer.value, insc.note,
         insc.certificates)
     add("circumscribable (angle system)", circ.answer.value, circ.note,
@@ -236,7 +241,7 @@ def cmd_decide(args) -> int:
     elif args.question == "circumscribable":
         v = hrs.decide_circumscribable(m)
     else:
-        v = hrs.decide_quadric_inscribable(m, args.question)
+        v = hrs.decide_quadric_inscribable(m)
     if args.json:
         sys.stdout.write(json.dumps({
             "schema": SCHEMA, "input": _input_identity(args.mapfile, text),
@@ -250,43 +255,39 @@ def cmd_decide(args) -> int:
 
 # ------------------------------------------------------------------ generate
 
+# The point-file generators; each reads --n, --d and --params.
+_CYCLIC = {"cyclic-trig": geometry.generate_cyclic_trig,
+           "cyclic-moment": geometry.generate_cyclic_moment}
+
+
 def cmd_generate(args) -> int:
     fam = args.family
-    params = [parse_rational(p) for p in args.params] if args.params else None
-    if fam == "cyclic-trig":
-        if args.n is None or args.d is None:
-            raise ParseError("cyclic-trig needs --n and --d")
-        pc = geometry.generate_cyclic_trig(args.n, args.d, params)
-        out = points.serialize_points_json(pc)
-    elif fam == "cyclic-moment":
-        if args.n is None or args.d is None:
-            raise ParseError("cyclic-moment needs --n and --d")
-        pc = geometry.generate_cyclic_moment(args.n, args.d, params)
-        out = points.serialize_points_json(pc)
-    elif fam == "stacked":
-        depth = args.depth if args.depth is not None else 1
-        name = f"stacked-tetrahedron-{depth}"
-        if name not in corpus.CORPUS_NAMES:
-            raise ParseError(f"stacking depth {depth} not available")
-        out = maps.serialize_map_json(corpus.named_polytope(name))
-    elif fam in corpus.CORPUS_NAMES:
-        if args.coordinates:
-            try:
-                pts, r2 = corpus.named_coordinates(fam)
-            except KeyError:
-                raise ParseError(f"no rational coordinates available for {fam}") from None
-            m = corpus.named_polytope(fam)
-            sphere = None
-            if r2 is not None:
-                sphere = points.SphereRef((Fraction(0),) * len(pts[0]), r2)
-            pc = points.PointConfiguration(len(pts[0]), tuple(pts), sphere,
-                                           tuple(m.face_sets()))
-            out = points.serialize_points_json(pc)
-        else:
-            out = maps.serialize_map_json(corpus.named_polytope(fam))
-    else:
+    if fam not in _CYCLIC and fam not in corpus.CORPUS_NAMES:
         raise ParseError(f"unknown family {fam!r}; choose cyclic-trig, "
-                         f"cyclic-moment, stacked, or one of {', '.join(corpus.CORPUS_NAMES)}")
+                         f"cyclic-moment, or one of {', '.join(corpus.CORPUS_NAMES)}")
+    reads = ("n", "d", "params") if fam in _CYCLIC else ("coordinates",)
+    for flag in ("n", "d", "params", "coordinates"):
+        if flag not in reads and getattr(args, flag) not in (None, False):
+            raise ParseError(f"--family {fam} does not read --{flag}")
+    if fam in _CYCLIC:
+        if args.n is None or args.d is None:
+            raise ParseError(f"{fam} needs --n and --d")
+        params = [parse_rational(p) for p in args.params] if args.params else None
+        out = points.serialize_points_json(_CYCLIC[fam](args.n, args.d, params))
+    elif args.coordinates:
+        try:
+            pts, r2 = corpus.named_coordinates(fam)
+        except KeyError:
+            raise ParseError(f"no rational coordinates available for {fam}") from None
+        m = corpus.named_polytope(fam)
+        sphere = None
+        if r2 is not None:
+            sphere = points.SphereRef((Fraction(0),) * len(pts[0]), r2)
+        pc = points.PointConfiguration(len(pts[0]), tuple(pts), sphere,
+                                       tuple(m.face_sets()))
+        out = points.serialize_points_json(pc)
+    else:
+        out = maps.serialize_map_json(corpus.named_polytope(fam))
     _write(args.output, out)
     return 0
 
@@ -329,6 +330,10 @@ def cmd_check(args) -> int:
 # ------------------------------------------------------------------ scribe
 
 def cmd_scribe(args) -> int:
+    if args.k is not None and (args.i is not None or args.j is not None):
+        raise ParseError("scribe --k takes no --i or --j")
+    if args.k is None and (args.i is None or args.j is None):
+        raise ParseError("scribe needs --k or both --i and --j")
     text = _read(args.pointfile)
     pc = points.parse_points_json(text)
     if pc.sphere is None:
@@ -337,8 +342,6 @@ def cmd_scribe(args) -> int:
     if args.k is not None:
         report = geometry.check_k_scribed(pc, lattice, pc.sphere, args.k)
     else:
-        if args.i is None or args.j is None:
-            raise ParseError("scribe needs --k or both --i and --j")
         report = geometry.check_ij_scribed(pc, lattice, pc.sphere, args.i, args.j)
     if args.json:
         sys.stdout.write(report.to_json())
@@ -399,9 +402,9 @@ def cmd_separator(args) -> int:
     cs = caps_mod.parse_caps_json(text)
     rep = caps_mod.random_hyperplane_separator(cs, args.trials, args.seed)
     if args.json:
-        data = json.loads(rep.to_json())
-        data["schema"] = SCHEMA
-        data["input"] = _input_identity(args.capfile, text)
+        data = {**asdict(rep), "median_hits": format_rational(rep.median_hits),
+                "mean_hits": format_rational(rep.mean_hits), "schema": SCHEMA,
+                "input": _input_identity(args.capfile, text)}
         sys.stdout.write(json.dumps(data, indent=1) + "\n")
     else:
         sys.stdout.write(
@@ -454,13 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(fn=cmd_decide)
 
     g = add_sub("generate", help="write a map or point file")
-    g.add_argument("--family", required=True)
-    g.add_argument("--n", type=int)
-    g.add_argument("--d", type=int)
-    g.add_argument("--depth", type=int)
-    g.add_argument("--params", nargs="*")
+    g.add_argument("--family", required=True,
+                   help="cyclic-trig, cyclic-moment, or a corpus name")
+    g.add_argument("--n", type=int, help="points of a cyclic family")
+    g.add_argument("--d", type=int, help="dimension of a cyclic family")
+    g.add_argument("--params", nargs="*", help="curve parameters of a cyclic family")
     g.add_argument("--coordinates", action="store_true",
-                   help="emit coordinates instead of the map, when available")
+                   help="a corpus name's coordinates instead of its map, when available")
     g.add_argument("-o", "--output")
     g.set_defaults(fn=cmd_generate)
 
@@ -471,9 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = add_sub("scribe", help="(i,j)- or k-scribedness of a realization")
     s.add_argument("pointfile")
-    s.add_argument("--i", type=int)
-    s.add_argument("--j", type=int)
-    s.add_argument("--k", type=int)
+    s.add_argument("--i", type=int, help="rank of the faces that avoid the ball")
+    s.add_argument("--j", type=int, help="rank of the faces that cut it")
+    s.add_argument("--k", type=int, help="rank of the faces tangent to it; not with --i, --j")
     s.set_defaults(fn=cmd_scribe)
 
     k = add_sub("caps", help="cap-system statistics and ply depth")

@@ -148,7 +148,7 @@ def _components_mask(masks, alive: int) -> int:
     return count
 
 
-def toughness_scan(g: nx.Graph, budget: int = DEFAULT_TOUGHNESS_BUDGET):
+def toughness_scan(g: nx.Graph):
     """1-toughness and 1-supertoughness from one scan of the cutsets.
 
     Cutsets S are taken by size k, then in lexicographic order, and the
@@ -157,11 +157,11 @@ def toughness_scan(g: nx.Graph, budget: int = DEFAULT_TOUGHNESS_BUDGET):
     k <= (n-1)//2 since components(g-S) <= n-k; 1-supertoughness fails at
     the first S with 2 <= k <= n//2 that leaves at least k components.
     The scan stops once both are decided.  Returns (tough, supertough),
-    each (True, None) or (False, certificate).  Over the budget, each is
-    instead the BudgetExceeded its own test raises (see is_one_tough and
-    is_one_supertough).
+    each (True, None) or (False, certificate).  Over the budget of
+    DEFAULT_TOUGHNESS_BUDGET vertices, each is instead the BudgetExceeded its
+    own test raises (see is_one_tough and is_one_supertough).
     """
-    n = g.number_of_nodes()
+    n, budget = g.number_of_nodes(), DEFAULT_TOUGHNESS_BUDGET
     if n > budget:
         return (BudgetExceeded("toughness enumeration", n, budget),
                 BudgetExceeded("supertoughness enumeration", n, budget))
@@ -202,16 +202,16 @@ def _answer(result):
     return result
 
 
-def is_one_tough(g: nx.Graph, budget: int = DEFAULT_TOUGHNESS_BUDGET):
+def is_one_tough(g: nx.Graph):
     """True, or (False, ToughnessViolation certificate) with a cutset S such
     that g - S has more than |S| components.  Exhaustive over subsets."""
-    return _answer(toughness_scan(g, budget)[0])
+    return _answer(toughness_scan(g)[0])
 
 
-def is_one_supertough(g: nx.Graph, budget: int = DEFAULT_TOUGHNESS_BUDGET):
+def is_one_supertough(g: nx.Graph):
     """True, or (False, SupertoughViolation) with S, |S| = k >= 2, such that
     g - S has at least k components."""
-    return _answer(toughness_scan(g, budget)[1])
+    return _answer(toughness_scan(g)[1])
 
 
 # ---------------------------------------------------------------- connectivity
@@ -233,17 +233,19 @@ def vertex_connectivity(g: nx.Graph):
     return k, cert
 
 
-def degree_range_check(g: nx.Graph, lo: int = 4, hi: int = 6) -> bool:
-    return all(lo <= d <= hi for _, d in g.degree)
+def degree_range_check(g: nx.Graph) -> bool:
+    """Whether every vertex degree lies in [4, 6]."""
+    return all(4 <= d <= 6 for _, d in g.degree)
 
 
 # ---------------------------------------------------------------- Hamiltonicity
 
-def hamiltonian_cycle(g: nx.Graph, budget: int = DEFAULT_HAMILTON_BUDGET):
-    """A Hamiltonian cycle as a vertex list, or None after exhaustive search."""
+def hamiltonian_cycle(g: nx.Graph):
+    """A Hamiltonian cycle as a vertex list, or None after exhaustive search
+    of graphs with at most DEFAULT_HAMILTON_BUDGET vertices."""
     n = g.number_of_nodes()
-    if n > budget:
-        raise BudgetExceeded("Hamiltonian cycle search", n, budget)
+    if n > DEFAULT_HAMILTON_BUDGET:
+        raise BudgetExceeded("Hamiltonian cycle search", n, DEFAULT_HAMILTON_BUDGET)
     if n < 3:
         return None
     nodes = sorted(g.nodes)
@@ -292,13 +294,12 @@ def hamiltonian_certificate(cycle) -> Certificate:
 
 # ---------------------------------------------------------------- simple polytopes
 
-def simple_polytope_characterization(m: CombinatorialMap,
-                                     budget: int = DEFAULT_TOUGHNESS_BUDGET, *,
+def simple_polytope_characterization(m: CombinatorialMap, *,
                                      supertough=None) -> Verdict | None:
     """Exact inscribability for simple 3-polytopes (all degrees 3): the graph
     must be bipartite with a 4-connected dual, or 1-supertough.  Returns None
     when the map is not simple.  A caller that already holds
-    is_one_supertough(m.graph(), budget) passes it as supertough so the
+    is_one_supertough(m.graph()) passes it as supertough so the
     subsets are not enumerated again."""
     g = m.graph()
     if any(d != 3 for _, d in g.degree):
@@ -316,7 +317,7 @@ def simple_polytope_characterization(m: CombinatorialMap,
             certs.append(cut_cert)
             return Verdict(Answer.YES, tuple(certs),
                            "simple, bipartite with 4-connected dual: inscribable")
-    ok, viol = supertough if supertough is not None else is_one_supertough(g, budget)
+    ok, viol = supertough if supertough is not None else is_one_supertough(g)
     if ok:
         return Verdict(Answer.YES, tuple(certs), "simple and 1-supertough: inscribable")
     certs.append(viol)

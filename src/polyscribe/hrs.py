@@ -23,7 +23,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .errors import BudgetExceeded
-from .graphs import DEFAULT_HAMILTON_BUDGET, hamiltonian_cycle, hamiltonian_certificate
+from .graphs import hamiltonian_cycle, hamiltonian_certificate
 from .lazy import nx
 from .linalg import scaled
 from .maps import CombinatorialMap, dual_map
@@ -49,14 +49,15 @@ class Circuit:
     facial: bool
 
 
-def enumerate_simple_circuits(m: CombinatorialMap,
-                              budget: int = DEFAULT_CYCLE_BUDGET) -> list[Circuit]:
-    """Every vertex-simple cycle of the graph, flagged facial/non-facial.
+def enumerate_simple_circuits(m: CombinatorialMap) -> list[Circuit]:
+    """Every vertex-simple cycle of the graph, flagged facial/non-facial;
+    more than DEFAULT_CYCLE_BUDGET of them raise BudgetExceeded.
 
     A cycle equals a face boundary iff their edge sets coincide (cyclic
     sequences up to rotation and reflection are determined by their edges).
     """
     face_sets = {_face_edges(f) for f in m.faces}
+    budget = DEFAULT_CYCLE_BUDGET
     out = []
     for i, cyc in enumerate(nx.simple_cycles(m.graph())):
         if i >= budget:
@@ -375,19 +376,18 @@ def decide_inscribable(m: CombinatorialMap) -> Verdict:
     return Verdict(verdict.answer, tuple(certs), f"via dual: {verdict.note}")
 
 
-def decide_quadric_inscribable(m: CombinatorialMap, quadric: str = "hyperboloid", *,
+def decide_quadric_inscribable(m: CombinatorialMap, *,
                                sphere: Verdict | None = None) -> Verdict:
-    """Inscribable in the hyperboloid/cylinder iff sphere-inscribable and
-    Hamiltonian.  A caller that already holds decide_inscribable(m) passes
-    it as sphere so the angle system is not solved again."""
-    if quadric not in ("hyperboloid", "cylinder"):
-        raise ValueError(f"unknown quadric {quadric!r}")
+    """Inscribable in the one-sheet hyperboloid, and equally in the
+    cylinder, iff sphere-inscribable and Hamiltonian.  A caller that already
+    holds decide_inscribable(m) passes it as sphere so the angle system is
+    not solved again."""
     if sphere is None:
         sphere = decide_inscribable(m)
     if sphere.is_no:
         return Verdict(Answer.NO, sphere.certificates, "not sphere-inscribable")
     try:
-        cyc = hamiltonian_cycle(m.graph(), DEFAULT_HAMILTON_BUDGET)
+        cyc = hamiltonian_cycle(m.graph())
     except BudgetExceeded:
         cyc = "unknown"
     if cyc == "unknown" or sphere.answer is Answer.UNKNOWN:

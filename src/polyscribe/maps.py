@@ -49,10 +49,6 @@ class CombinatorialMap:
         object.__setattr__(self, "edges", frozenset(es))
 
     @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    @property
     def n_faces(self) -> int:
         return len(self.faces)
 
@@ -66,8 +62,9 @@ class CombinatorialMap:
         return {frozenset(f) for f in self.faces}
 
 
-def validate_map(raw, name: str | None = None) -> CombinatorialMap:
-    """Validate raw map data (dict with 'vertices' and 'faces') and build the map.
+def validate_map(raw) -> CombinatorialMap:
+    """Validate raw map data (dict with 'vertices', 'faces' and an optional
+    'name') and build the map.
 
     Raises one of the MapValidationError subclasses naming the offending
     element, or ParseError for structurally malformed input.  Faces that
@@ -76,9 +73,6 @@ def validate_map(raw, name: str | None = None) -> CombinatorialMap:
     rejection reports; if that graph is 3-connected, DegenerateFace names a
     pinched vertex star.
     """
-    if isinstance(raw, CombinatorialMap):
-        raw = {"vertices": raw.n_vertices, "faces": [list(f) for f in raw.faces],
-               "name": name or raw.name}
     if not isinstance(raw, dict) or "vertices" not in raw or "faces" not in raw:
         raise ParseError("map data must contain 'vertices' and 'faces'")
     n = raw["vertices"]
@@ -88,7 +82,6 @@ def validate_map(raw, name: str | None = None) -> CombinatorialMap:
     if not isinstance(faces, (list, tuple)) or not all(isinstance(f, (list, tuple))
                                                        for f in faces):
         raise ParseError("'faces' must be a list of vertex lists")
-    name = name or raw.get("name")
 
     for i, f in enumerate(faces):
         if len(f) < 3:
@@ -139,7 +132,7 @@ def validate_map(raw, name: str | None = None) -> CombinatorialMap:
         if given != set(edge_faces):
             raise ParseError("explicit edge list does not match edges derived from faces")
 
-    return CombinatorialMap(n, tuple(tuple(f) for f in faces), name)
+    return CombinatorialMap(n, tuple(tuple(f) for f in faces), raw.get("name"))
 
 
 def _vertex_stars(n: int, faces) -> list[list[tuple[int, int, int]]]:

@@ -19,7 +19,7 @@ from polyscribe.caps import (CapSystem, SphericalCap, _caps_overlap, _sign,
                              visibility_cap, visibility_system)
 from polyscribe.errors import (DegenerateConfiguration, MonteCarloOnly,
                                ParseError, PointInsideBall)
-from polyscribe.linalg import dot, norm_sq
+from polyscribe.linalg import dot, norm_sq, scaled
 from polyscribe.rationals import format_rational, format_vector
 
 
@@ -595,7 +595,19 @@ def test_ply_witness_floats_unscaled_in_range():
 
 # ------------------------------------------------- exact ply against Fractions
 # The per-pair Fraction loop the integer candidates replaced, kept as the
-# oracle of the differential tests below.
+# oracle of the differential tests below, with its own cap identity (axis
+# ray, cosine sign and squared cosine).
+
+def _canonical_ray(v):
+    """Primitive integer direction of a rational vector, preserving sign."""
+    *nums, _ = scaled(v)
+    g = math.gcd(*nums)
+    return tuple(x // g for x in nums)
+
+
+def _identity_key(cap):
+    return _canonical_ray(cap.axis), cap.cos_sign, cap.cos_sq
+
 
 def ref_ply_depth(cs):
     if cs.dimension != 3:
@@ -605,7 +617,7 @@ def ref_ply_depth(cs):
     planes = caps._boundary_planes(cs)
     groups = {}
     for i, cap in enumerate(cs.caps):
-        groups.setdefault(caps._identity_key(cap), []).append(i)
+        groups.setdefault(_identity_key(cap), []).append(i)
     reps = [members[0] for members in groups.values()]
     weight = np.array([len(members) for members in groups.values()])
     f = cs.floats

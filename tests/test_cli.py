@@ -1,6 +1,8 @@
 import argparse
+import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from polyscribe.caps import (ply_depth_sampling, random_visibility_system,
                              serialize_caps_json)
 from polyscribe.corpus import named_polytope, prism
 from polyscribe.maps import serialize_map_json
+from polyscribe.verdicts import CertKind
 
 
 @pytest.fixture
@@ -48,6 +51,28 @@ def test_analyze_verify_certificates(mapfile, capsys):
     assert rc == 0 and rep["certificates_verified"] is True
 
 
+def test_analyze_rechecks_simple_polytope_certificates(mapfile, capsys, monkeypatch):
+    # the cube is simple and bipartite with a 4-connected dual; classes that
+    # do not cover its vertices are a certificate the re-check must refuse
+    characterize = graphs.simple_polytope_characterization
+
+    def corrupted(m, **kw):
+        v = characterize(m, **kw)
+        certs = tuple(
+            dataclasses.replace(c, data={"class_a": [0], "class_b": [1]})
+            if c.kind is CertKind.BIPARTITE_CLASSES else c for c in v.certificates)
+        return dataclasses.replace(v, certificates=certs)
+    f = mapfile("cube")
+    rc, out = run(capsys, "analyze", f, "--json", "--verify-certificates")
+    assert rc == 0 and json.loads(out)["certificates_verified"] is True
+    monkeypatch.setattr(graphs, "simple_polytope_characterization", corrupted)
+    rc, out = run(capsys, "analyze", f, "--json", "--verify-certificates")
+    tests = {t["name"]: t for t in json.loads(out)["tests"]}
+    certs = tests["simple-polytope characterization"]["certificates"]
+    assert certs[0]["data"] == {"class_a": [0], "class_b": [1]}
+    assert rc == 0 and json.loads(out)["certificates_verified"] is False
+
+
 def test_analyze_decides_inscribability_once(mapfile, capsys, monkeypatch):
     calls = []
     decide = hrs.decide_inscribable
@@ -68,9 +93,9 @@ def test_analyze_decides_supertoughness_once(mapfile, capsys, monkeypatch):
     calls = []
     scan = graphs.toughness_scan
 
-    def counted(g, budget):
+    def counted(g):
         calls.append(g)
-        return scan(g, budget)
+        return scan(g)
     monkeypatch.setattr(graphs, "toughness_scan", counted)
     rc, out = run(capsys, "analyze", mapfile("truncated-tetrahedron"), "--json")
     assert rc == 0 and len(calls) == 1
@@ -200,6 +225,31 @@ def test_check_with_map_enumerates_facets_once(tmp_path, capsys, monkeypatch):
 
 def test_generate_unknown_family(capsys):
     assert main(["generate", "--family", "nonexistent-solid"]) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "--family", "cube", "--n", "5"], "--family cube does not read --n"),
+    (["generate", "--family", "cube", "--n", "5", "--d", "9", "--params", "1", "2"],
+     "--family cube does not read --n"),
+    # the check comes before the parameters are parsed
+    (["generate", "--family", "cube", "--params", "x"], "--family cube does not read --params"),
+    (["generate", "--family", "cyclic-trig", "--n", "6", "--d", "4", "--coordinates"],
+     "--family cyclic-trig does not read --coordinates"),
+    (["generate", "--family", "stacked"], "unknown family 'stacked'"),
+    (["generate", "--family", "stacked-tetrahedron-2", "--depth", "2"],
+     "unrecognized arguments: --depth 2"),
+    (["scribe", "{c6}", "--k", "0", "--i", "0", "--j", "1"], "scribe --k takes no --i or --j"),
+    (["scribe", "{c6}", "--k", "3", "--j", "3"], "scribe --k takes no --i or --j"),
+    (["scribe", "{c6}", "--i", "0"], "scribe needs --k or both --i and --j"),
+])
+def test_flags_a_family_or_query_does_not_read_are_errors(tmp_path, capsys, argv, message):
+    c6 = tmp_path / "c6.json"
+    assert run(capsys, "generate", "--family", "cyclic-trig", "--n", "6", "--d", "4",
+               "-o", str(c6))[0] == 0
+    rc = main([a.format(c6=c6) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == "" and captured.err.startswith("error:")
+    assert message in captured.err
 
 
 def test_caps_and_separator(tmp_path, capsys):
@@ -416,3 +466,21 @@ def test_budget_exhaustion_exits_two(tmp_path, capsys):
     rc = main(["check", str(pts), "--json"])
     captured = capsys.readouterr()
     assert rc == 2 and captured.err.startswith("unknown: facet enumeration")
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("polyscribe ")]
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    # every polyscribe line of the README's command-line block, in order
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 14
+    for argv in commands:
+        rc = main(argv)
+        assert rc == 0, (argv, capsys.readouterr().err)

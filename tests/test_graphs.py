@@ -4,6 +4,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
+from polyscribe import graphs
 from polyscribe.corpus import CORPUS_NAMES, named_polytope, prism
 from polyscribe.errors import BudgetExceeded
 from polyscribe.graphs import (_components_mask, _neighbor_masks,
@@ -187,20 +188,19 @@ def _ref_tests(g, budget):
     return out
 
 
-def _projected(fn, g, budget):
+def _projected(fn, g):
     try:
-        return fn(g, budget)
+        return fn(g)
     except BudgetExceeded as exc:
         return str(exc)
 
 
-def _assert_scan_matches_reference(g, budget=22):
-    ref = _ref_tests(g, budget)
+def _assert_scan_matches_reference(g):
+    ref = _ref_tests(g, graphs.DEFAULT_TOUGHNESS_BUDGET)
     scan = [str(r) if isinstance(r, BudgetExceeded) else r
-            for r in toughness_scan(g, budget)]
+            for r in toughness_scan(g)]
     assert scan == ref
-    assert [_projected(is_one_tough, g, budget),
-            _projected(is_one_supertough, g, budget)] == ref
+    assert [_projected(is_one_tough, g), _projected(is_one_supertough, g)] == ref
     return ref
 
 
@@ -218,10 +218,11 @@ def test_toughness_scan_matches_reference_on_random_graphs():
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def test_toughness_scan_matches_reference_on_corpus():
+def test_toughness_scan_matches_reference_on_corpus(monkeypatch):
+    monkeypatch.setattr(graphs, "DEFAULT_TOUGHNESS_BUDGET", 16)
     for name in CORPUS_NAMES:
         g = named_polytope(name).graph()
-        _assert_scan_matches_reference(g, 16)
+        _assert_scan_matches_reference(g)
 
 
 def test_toughness_scan_over_budget():

@@ -16,16 +16,16 @@ from polyscribe.verdicts import Answer, CertKind
 
 def _solve(name):
     m = named_polytope(name)
-    circuits = enumerate_simple_circuits(m, 10 ** 6)
+    circuits = enumerate_simple_circuits(m)
     return m, circuits, solve_max_margin(MarginSystem.from_map(m), circuits)
 
 
 def test_circuit_counts():
     m = named_polytope("tetrahedron")
-    cc = enumerate_simple_circuits(m, 10 ** 6)
+    cc = enumerate_simple_circuits(m)
     assert len(cc) == 7 and sum(c.facial for c in cc) == 4
     m = named_polytope("cube")
-    cc = enumerate_simple_circuits(m, 10 ** 6)
+    cc = enumerate_simple_circuits(m)
     assert len(cc) == 28 and sum(c.facial for c in cc) == 6
 
 
@@ -60,7 +60,7 @@ def test_contradictory_face_row_infeasible():
     # (16 and 12) for the same sum over all edges
     m = named_polytope("cuboctahedron")
     system = MarginSystem.from_map(m)
-    out = solve_max_margin(system, enumerate_simple_circuits(m, 10 ** 6))
+    out = solve_max_margin(system, enumerate_simple_circuits(m))
     assert out.status == "infeasible" and out.t_star is None
     assert out.active_circuits == []
     assert verify_farkas(system.build_lp(out.active_circuits), out.farkas)
@@ -211,7 +211,5 @@ def test_quadric():
     assert any(c.kind is CertKind.HAMILTONIAN_CYCLE for c in v.certificates)
     assert decide_quadric_inscribable(named_polytope("triakis-tetrahedron")).answer \
         is Answer.NO
-    v = decide_quadric_inscribable(named_polytope("rhombic-dodecahedron"), "cylinder")
+    v = decide_quadric_inscribable(named_polytope("rhombic-dodecahedron"))
     assert v.answer is Answer.NO
-    with pytest.raises(ValueError):
-        decide_quadric_inscribable(named_polytope("cube"), "paraboloid")
