@@ -18,7 +18,8 @@ from .graphs import (degree_range_check, hamiltonian_cycle,
                      vertex_connectivity)
 from .hrs import (decide_circumscribable, decide_inscribable,
                   decide_quadric_inscribable, enumerate_simple_circuits,
-                  solve_max_margin, verify_angle_assignment, verify_dual_witness)
+                  solve_max_margin, verify_angle_assignment, verify_certificate,
+                  verify_dual_witness)
 from .geometry import (check_ij_scribed, check_k_scribed, face_avoids,
                        face_cuts, face_tangent, generate_cyclic_moment,
                        generate_cyclic_trig, is_face, k_sets,

@@ -660,14 +660,9 @@ def parse_caps_json(text: str) -> CapSystem:
         if not isinstance(entry, dict) or not isinstance(entry.get("axis"), list):
             raise ParseError("each cap must be an object with an 'axis' list")
         axis = parse_vector(entry["axis"])
-        if "cos_radius" in entry:
-            caps.append(SphericalCap(axis=axis,
-                                     cos_radius=parse_rational(entry["cos_radius"])))
-        elif "offset" in entry:
-            caps.append(SphericalCap(axis=axis,
-                                     offset=parse_rational(entry["offset"])))
-        else:
-            raise ParseError("cap entry needs 'cos_radius' or 'offset'")
+        # SphericalCap rejects an entry with neither or both of these
+        size = {k: parse_rational(entry[k]) for k in ("cos_radius", "offset") if k in entry}
+        caps.append(SphericalCap(axis=axis, **size))
     return CapSystem(d, tuple(caps))
 
 

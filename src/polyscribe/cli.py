@@ -89,6 +89,13 @@ def _write(path: str | None, text: str) -> None:
 
 # ------------------------------------------------------------------ analyze
 
+def _recheck(cert, on) -> bool:
+    """Re-check a certificate about the map `on` from its data alone."""
+    if cert.kind in (CertKind.ANGLE_ASSIGNMENT, CertKind.LP_DUAL_WITNESS):
+        return hrs.verify_certificate(on, cert)
+    return recheck_certificate(cert, on.graph())
+
+
 def _run_analysis(m, path_text, path, budget_subsets,
                   verify_certs: bool) -> AnalysisReport:
     t0 = time.monotonic()
@@ -102,39 +109,35 @@ def _run_analysis(m, path_text, path, budget_subsets,
         budgets={"subsets": budget_subsets,
                  "toughness": graphs.DEFAULT_TOUGHNESS_BUDGET},
     )
-    tests = report.tests
-    verified = True
+    # Each distinct certificate, by identity, with the map it is about: add's
+    # `on` is that map, or a function of the certificate that gives it.
+    about = {}
 
-    def add(name, outcome, note="", certs=()):
-        tests.append({"name": name, "outcome": outcome, "note": note,
-                      "certificates": [_cert_json(c) for c in certs]})
+    def add(name, outcome, note="", certs=(), on=m):
+        report.tests.append({"name": name, "outcome": outcome, "note": note,
+                             "certificates": [_cert_json(c) for c in certs]})
+        for c in certs:
+            about.setdefault(id(c), (c, on(c) if callable(on) else on))
+
+    def obstruction(name, search, arg, none_note, on):
+        """An obstruction search under --budget-subsets."""
+        try:
+            cert = search(arg, budget_subsets)
+        except BudgetExceeded as exc:
+            add(name, "UNKNOWN", str(exc))
+            return
+        if cert is None:
+            add(name, "NONE", none_note)
+        else:
+            add(name, "FOUND", cert.conclusion, (cert,), on)
 
     add("validation", "PASS", "map is a valid 3-connected planar map with facial cycles")
-
-    # Independent-set obstruction (inscribability necessary condition).
-    try:
-        cert = graphs.independent_set_obstruction(g, budget_subsets)
-        if cert is None:
-            add("independent-set obstruction", "NONE",
-                "no independent set above the inscribability threshold")
-        else:
-            add("independent-set obstruction", "FOUND", cert.conclusion, (cert,))
-            if verify_certs:
-                verified &= recheck_certificate(cert, g)
-    except BudgetExceeded as exc:
-        add("independent-set obstruction", "UNKNOWN", str(exc))
-
-    # Facet paint test (circumscribability necessary condition).
-    try:
-        cert = graphs.steinitz_paint_test(m, budget_subsets)
-        if cert is None:
-            add("facet paint test", "NONE", "no facet-painting obstruction")
-        else:
-            add("facet paint test", "FOUND", cert.conclusion, (cert,))
-            if verify_certs:
-                verified &= recheck_certificate(cert, dual.graph())
-    except BudgetExceeded as exc:
-        add("facet paint test", "UNKNOWN", str(exc))
+    # Necessary conditions: of inscribability on the graph, of
+    # circumscribability on the dual's.
+    obstruction("independent-set obstruction", graphs.independent_set_obstruction, g,
+                "no independent set above the inscribability threshold", m)
+    obstruction("facet paint test", graphs.steinitz_paint_test, m,
+                "no facet-painting obstruction", dual)
 
     # Toughness and supertoughness enumerate vertex subsets, so they keep
     # their own smaller budget rather than --budget-subsets.  One scan
@@ -150,14 +153,10 @@ def _run_analysis(m, path_text, path, budget_subsets,
             add(name, "PASS", f"graph is {name}")
         else:
             add(name, "FAIL", cert.conclusion, (cert,))
-            if verify_certs:
-                verified &= recheck_certificate(cert, g)
     supertough = None if isinstance(scan[1], BudgetExceeded) else scan[1]
 
     k, conn_cert = graphs.vertex_connectivity(g)
     add("connectivity", "PASS", f"vertex connectivity {k}", (conn_cert,))
-    if verify_certs:
-        verified &= recheck_certificate(conn_cert, g)
 
     in_range = graphs.degree_range_check(g)
     add("degree range [4,6]", "PASS" if in_range else "FAIL",
@@ -168,18 +167,15 @@ def _run_analysis(m, path_text, path, budget_subsets,
         if simple is None:
             add("simple-polytope characterization", "SKIP", "map is not simple")
         else:
+            # its connectivity witness is the dual's (4-connected dual)
             add("simple-polytope characterization", simple.answer.value,
-                simple.note, simple.certificates)
-            if verify_certs:
-                # its connectivity witness is the dual's (4-connected dual)
-                for cert in simple.certificates:
-                    verified &= recheck_certificate(
-                        cert, dual.graph() if cert.kind is CertKind.CONNECTIVITY_WITNESS
-                        else g)
+                simple.note, simple.certificates,
+                lambda c: dual if c.kind is CertKind.CONNECTIVITY_WITNESS else m)
     except BudgetExceeded as exc:
         add("simple-polytope characterization", "UNKNOWN", str(exc))
 
-    # HRS both directions and the quadric criterion.
+    # HRS both directions and the quadric criterion, which repeats the
+    # inscribability certificates.
     insc = hrs.decide_inscribable(m)
     circ = hrs.decide_circumscribable(m)
     quad = hrs.decide_quadric_inscribable(m, sphere=insc)
@@ -188,12 +184,6 @@ def _run_analysis(m, path_text, path, budget_subsets,
     add("circumscribable (angle system)", circ.answer.value, circ.note,
         circ.certificates)
     add("quadric-inscribable", quad.answer.value, quad.note, quad.certificates)
-    if verify_certs:
-        verified &= _verify_hrs_certs(m, circ, on_dual=False)
-        verified &= _verify_hrs_certs(m, insc, on_dual=True)
-        for cert in quad.certificates:
-            if cert.kind is CertKind.HAMILTONIAN_CYCLE:
-                verified &= recheck_certificate(cert, g)
 
     report.verdicts = {
         "inscribable": insc.answer.value,
@@ -202,24 +192,9 @@ def _run_analysis(m, path_text, path, budget_subsets,
         "cylinder": quad.answer.value,
     }
     if verify_certs:
-        report.certificates_verified = verified
+        report.certificates_verified = all(_recheck(c, on) for c, on in about.values())
     report.timing = {"seconds": time.monotonic() - t0}
     return report
-
-
-def _verify_hrs_certs(m, verdict, on_dual: bool) -> bool:
-    target = maps.dual_map(m) if on_dual else m
-    ok = True
-    for cert in verdict.certificates:
-        if cert.kind is CertKind.ANGLE_ASSIGNMENT:
-            weights = hrs.parse_angle_assignment(cert)
-            if cert.data.get("on_dual"):
-                back = {v: k for k, v in hrs._dual_edge_to_primal(m).items()}
-                weights = {back[e]: x for e, x in weights.items()}
-            ok &= hrs.verify_angle_assignment(target, weights)
-        elif cert.kind is CertKind.LP_DUAL_WITNESS:
-            ok &= hrs.verify_dual_witness(target, cert)
-    return ok
 
 
 def cmd_analyze(args) -> int:

@@ -107,10 +107,11 @@ class _GramKernel:
 
 
 def _kernel(pc: PointConfiguration, s: SphereRef) -> _GramKernel:
-    kernel = pc._kernels.get(s)
-    if kernel is None:
-        kernel = pc._kernels[s] = _GramKernel(pc, s)
-    return kernel
+    """The kernel of pc against s, kept for the sphere object last asked
+    about; an equal but distinct sphere builds it again."""
+    if pc._kernel is None or pc._kernel[0] is not s:
+        object.__setattr__(pc, "_kernel", (s, _GramKernel(pc, s)))
+    return pc._kernel[1]
 
 
 def min_norm_sq_over_face(pc: PointConfiguration, face, s: SphereRef):
@@ -220,9 +221,13 @@ class ScribeReport:
 
 
 def _scribe_report(pc, lattice, s, query, required) -> ScribeReport:
-    """Every face of each (rank, key) pair must have its status key true."""
-    report = ScribeReport(query, True)
+    """Every face of a rank in the (rank, key) pairs must have each status
+    key of its rank true; each rank is walked once."""
+    keys_of_rank: dict = {}
     for rank, key in required:
+        keys_of_rank.setdefault(rank, []).append(key)
+    report = ScribeReport(query, True)
+    for rank, keys in keys_of_rank.items():
         for f in lattice.faces_of_rank(rank):
             value, location = min_norm_sq_over_face(pc, f, s)
             avoids = face_avoids(pc, f, s)
@@ -231,7 +236,7 @@ def _scribe_report(pc, lattice, s, query, required) -> ScribeReport:
                   "min_norm_sq": format_rational(value), "minimizer": location,
                   "rank": rank}
             report.per_face.append(st)
-            if not st[key]:
+            if not all(st[key] for key in keys):
                 report.holds = False
     return report
 

@@ -257,11 +257,8 @@ def angle_assignment_certificate(weights: dict, margin: Fraction) -> Certificate
 
 
 def parse_angle_assignment(cert: Certificate) -> dict:
-    out = {}
-    for k, v in cert.data["weights"].items():
-        u, _, w_ = k.partition("-")
-        out[(int(u), int(w_))] = parse_rational(v)
-    return out
+    return {tuple(map(int, k.split("-"))): parse_rational(v)
+            for k, v in cert.data["weights"].items()}
 
 
 def verify_angle_assignment(m: CombinatorialMap, weights: dict,
@@ -353,27 +350,39 @@ def _dual_edge_to_primal(m: CombinatorialMap) -> dict:
 
 
 def decide_inscribable(m: CombinatorialMap) -> Verdict:
-    """Inscribable iff the polar dual is circumscribable; angle certificates
-    are relabeled from dual edges to the primal edges they cross."""
-    dm = dual_map(m)
-    verdict = decide_circumscribable(dm)
-    relabel = _dual_edge_to_primal(m)
+    """Inscribable iff the polar dual is circumscribable; the certificates
+    are marked on_dual, and angle weights are rekeyed from dual edges to the
+    primal edges they cross (verify_certificate keys them back)."""
+    verdict = decide_circumscribable(dual_map(m))
+    relabel = {f"{a}-{b}": e for (a, b), e in _dual_edge_to_primal(m).items()}
     certs = []
     for cert in verdict.certificates:
+        data = {**cert.data, "on_dual": True}
         if cert.kind is CertKind.ANGLE_ASSIGNMENT:
-            weights = parse_angle_assignment(cert)
-            primal = {relabel[e]: x for e, x in weights.items()}
-            data = dict(cert.data)
-            data["weights"] = {f"{u}-{v}": format_rational(x)
-                               for (u, v), x in sorted(primal.items())}
-            data["on_dual"] = True
+            primal = sorted((relabel[k], x) for k, x in data["weights"].items())
+            data["weights"] = {f"{u}-{v}": x for (u, v), x in primal}
             certs.append(Certificate(cert.kind, data,
                                      cert.conclusion + " (dual angles keyed by primal edges)"))
         else:
-            data = dict(cert.data)
-            data["on_dual"] = True
             certs.append(Certificate(cert.kind, data, cert.conclusion + " (on the dual map)"))
     return Verdict(verdict.answer, tuple(certs), f"via dual: {verdict.note}")
+
+
+def verify_certificate(m: CombinatorialMap, cert: Certificate) -> bool:
+    """Re-check an angle-system certificate of m (an angle assignment or an
+    LP dual witness) from its data alone.  A certificate marked on_dual is
+    about the polar dual, and its weights are keyed back to dual edges."""
+    if cert.kind not in (CertKind.ANGLE_ASSIGNMENT, CertKind.LP_DUAL_WITNESS):
+        raise ValueError(f"no angle-system recheck for certificate kind {cert.kind}")
+    on_dual = cert.data.get("on_dual", False)
+    target = dual_map(m) if on_dual else m
+    if cert.kind is CertKind.LP_DUAL_WITNESS:
+        return verify_dual_witness(target, cert)
+    weights = parse_angle_assignment(cert)
+    if on_dual:
+        back = {e: d for d, e in _dual_edge_to_primal(m).items()}
+        weights = {back.get(e): x for e, x in weights.items()}
+    return verify_angle_assignment(target, weights)
 
 
 def decide_quadric_inscribable(m: CombinatorialMap, *,

@@ -26,10 +26,10 @@ class PointConfiguration:
     points: tuple[tuple[Fraction, ...], ...]
     sphere: SphereRef | None = None
     claimed_faces: tuple[frozenset[int], ...] | None = None
-    # Face-solve kernels of this realization by sphere, built by the first
-    # geometry face test against that sphere.
-    _kernels: dict = field(default_factory=dict, init=False, compare=False,
-                           repr=False)
+    # (sphere, face-solve kernel) of the last sphere a geometry face test
+    # asked about; a test against another sphere object replaces it.
+    _kernel: tuple | None = field(default=None, init=False, compare=False,
+                                  repr=False)
 
     def __post_init__(self):
         for p in self.points:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import polyscribe
-from polyscribe import graphs, hrs, hull, maps
+from polyscribe import cli, graphs, hrs, hull, maps
 from polyscribe.cli import main
 from polyscribe.caps import (ply_depth_sampling, random_visibility_system,
                              serialize_caps_json)
@@ -71,6 +71,70 @@ def test_analyze_rechecks_simple_polytope_certificates(mapfile, capsys, monkeypa
     certs = tests["simple-polytope characterization"]["certificates"]
     assert certs[0]["data"] == {"class_a": [0], "class_b": [1]}
     assert rc == 0 and json.loads(out)["certificates_verified"] is False
+
+
+# Together their reports hold a certificate of every kind.
+EVERY_KIND_MAPS = ("cube", "triakis-octahedron", "truncated-tetrahedron")
+
+
+def test_analyze_rechecks_each_certificate_once(mapfile, capsys, monkeypatch):
+    # the quadric test repeats the inscribability certificates and the
+    # characterization repeats a supertoughness violation; each distinct
+    # certificate is re-checked once, by the checker of its kind
+    rechecked = []
+    graph_check, angle_check = cli.recheck_certificate, hrs.verify_certificate
+
+    def graph_counted(cert, g):
+        rechecked.append(cert)
+        return graph_check(cert, g)
+
+    def angle_counted(m, cert):
+        rechecked.append(cert)
+        return angle_check(m, cert)
+    monkeypatch.setattr(cli, "recheck_certificate", graph_counted)
+    monkeypatch.setattr(hrs, "verify_certificate", angle_counted)
+    kinds = set()
+    for name in EVERY_KIND_MAPS:
+        rechecked.clear()
+        rc, out = run(capsys, "analyze", mapfile(name), "--json", "--verify-certificates")
+        rep = json.loads(out)
+        assert rc == 0 and rep["certificates_verified"] is True
+        reported = [json.dumps(c, sort_keys=True)
+                    for t in rep["tests"] for c in t["certificates"]]
+        checked = [json.dumps(cli._cert_json(c), sort_keys=True) for c in rechecked]
+        assert len(set(reported)) < len(reported), name
+        assert sorted(checked) == sorted(set(reported)), name
+        kinds |= {c.kind for c in rechecked}
+    assert kinds == set(CertKind)
+
+
+@pytest.mark.parametrize("decide", ["decide_inscribable", "decide_circumscribable"])
+def test_analyze_refuses_a_corrupted_angle_assignment(mapfile, capsys, monkeypatch,
+                                                      decide):
+    # the cube is inscribable (angles on the dual, keyed by primal edges)
+    # and circumscribable; one changed weight breaks a face sum
+    original = getattr(hrs, decide)
+
+    def corrupted(m):
+        v = original(m)
+        cert = v.certificates[0]
+        weights = dict(cert.data["weights"])
+        edge = min(weights)
+        weights[edge] = "1/7" if weights[edge] != "1/7" else "1/5"
+        bad = dataclasses.replace(cert, data={**cert.data, "weights": weights})
+        return dataclasses.replace(v, certificates=(bad,))
+    f = mapfile("cube")
+    rc, out = run(capsys, "analyze", f, "--json", "--verify-certificates")
+    assert rc == 0 and json.loads(out)["certificates_verified"] is True
+    monkeypatch.setattr(hrs, decide, corrupted)
+    rc, out = run(capsys, "analyze", f, "--json", "--verify-certificates")
+    rep = json.loads(out)
+    name = {"decide_inscribable": "inscribable (angle system on dual)",
+            "decide_circumscribable": "circumscribable (angle system)"}[decide]
+    cert = {t["name"]: t for t in rep["tests"]}[name]["certificates"][0]
+    assert cert["kind"] == "AngleAssignment"
+    assert cert["data"].get("on_dual", False) is (decide == "decide_inscribable")
+    assert rc == 0 and rep["certificates_verified"] is False
 
 
 def test_analyze_decides_inscribability_once(mapfile, capsys, monkeypatch):
@@ -291,6 +355,9 @@ def test_separator_rejects_zero_trials(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     '{"dimension": 3, "caps": [{"cos_radius": "1/2"}]}',
     '{"dimension": 3, "caps": [{"axis": "1", "cos_radius": "1/2"}]}',
+    '{"dimension": 3, "caps": [{"axis": ["1", "0", "0"]}]}',
+    '{"dimension": 3, "caps": [{"axis": ["1", "0", "0"], "cos_radius": "1/2", '
+    '"offset": "7"}]}',
     '{"dimension": 3, "caps": [5]}',
     '{"dimension": 3, "caps": 5}',
     '{"dimension": 0, "caps": []}',
@@ -437,6 +504,21 @@ def test_scribe_facets_of_cyclic_polytope(tmp_path, capsys):
     assert rc == 0 and rep["holds"] is False and len(rep["faces"]) == 9
     for face in rep["faces"]:
         assert (face["cuts"], face["avoids"], face["tangent"]) == (True, False, False)
+
+
+def test_scribe_with_equal_ranks_walks_them_once(tmp_path, capsys):
+    # --i 1 --j 1 asks each edge of C_4(6) to avoid and cut: its 15 edges
+    # are listed once each, and the answer needs both keys of every edge
+    pts = tmp_path / "c6.json"
+    assert run(capsys, "generate", "--family", "cyclic-trig", "--n", "6",
+               "--d", "4", "-o", str(pts))[0] == 0
+    rc, out = run(capsys, "scribe", str(pts), "--i", "1", "--j", "1", "--json")
+    rep = json.loads(out)
+    faces = [tuple(st["face"]) for st in rep["faces"]]
+    assert rc == 0 and len(faces) == len(set(faces)) == 15
+    assert rep["holds"] is all(st["avoids"] and st["cuts"] for st in rep["faces"])
+    rc, out = run(capsys, "scribe", str(pts), "--i", "1", "--j", "1")
+    assert rc == 0 and len(out.splitlines()) == 1 + 15
 
 
 def test_budget_exhaustion_exits_two(tmp_path, capsys):

@@ -299,6 +299,47 @@ def test_each_support_solved_once(monkeypatch):
     assert len(calls) == solved
 
 
+def test_kernel_kept_for_the_last_sphere_object(monkeypatch):
+    # the kernel is matched to its sphere by identity, so a query on the
+    # realization's own sphere hashes no Fraction; an equal copy of the
+    # sphere, or another sphere, builds a new kernel
+    pc = generate_cyclic_trig(6, 4)
+    lattice = build_face_lattice(pc)
+    kernel = _kernel(pc, pc.sphere)
+    check_ij_scribed(pc, lattice, pc.sphere, 1, 2)
+    hashes = []
+    fraction_hash = F.__hash__
+
+    def counted(self):
+        hashes.append(self)
+        return fraction_hash(self)
+    monkeypatch.setattr(F, "__hash__", counted)
+    report = check_ij_scribed(pc, lattice, pc.sphere, 1, 2)
+    assert report.per_face and hashes == []
+    assert _kernel(pc, pc.sphere) is kernel
+    copy = SphereRef(pc.sphere.center, pc.sphere.radius_squared)
+    assert copy == pc.sphere and _kernel(pc, copy) is not kernel
+    larger = SphereRef(pc.sphere.center, 2 * pc.sphere.radius_squared)
+    other = _kernel(pc, larger)
+    assert other.r2 != kernel.r2 and _kernel(pc, larger) is other
+    # one slot: the realization's own sphere now builds its kernel again
+    again = _kernel(pc, pc.sphere)
+    assert again is not kernel and again.r2 == kernel.r2
+
+
+def test_scribe_with_equal_ranks_requires_both_keys(cube_points):
+    # (i, i): each i-face is listed once and must both avoid and cut
+    lattice = build_face_lattice(cube_points)
+    for r2 in (F(1), F(2), F(3)):
+        s = SphereRef((F(0),) * 3, r2)
+        for i in range(3):
+            report = check_ij_scribed(cube_points, lattice, s, i, i)
+            faces = [tuple(st["face"]) for st in report.per_face]
+            assert len(faces) == len(set(faces)) == len(lattice.faces_of_rank(i))
+            assert report.holds == all(st["avoids"] and st["cuts"]
+                                       for st in report.per_face)
+
+
 def test_scribe_queries_solve_no_lp(monkeypatch, cube_points):
     # the minimizer of each face is located from the support solves alone;
     # the cube's square faces have affinely dependent vertex sets, and the
