@@ -4,7 +4,7 @@ sphere-scribedness of realizations, and spherical cap/separator experiments."""
 from .errors import (BudgetExceeded, DegenerateConfiguration, DegenerateSpan,
                      MapValidationError, MonteCarloOnly, ParseError,
                      PointInsideBall, PolyscribeError)
-from .maps import (CombinatorialMap, dual_map, maps_isomorphic, parse_map_json,
+from .maps import (CombinatorialMap, dual_map, parse_map_json,
                    serialize_map_json, validate_map)
 from .corpus import CORPUS_NAMES, full_corpus, named_coordinates, named_polytope
 from .points import (PointConfiguration, SphereRef, parse_points_json,

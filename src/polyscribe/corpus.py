@@ -68,16 +68,8 @@ def prism(n: int) -> CombinatorialMap:
 
 def _rhombic_dodecahedron() -> CombinatorialMap:
     cube = validate_map(_CUBE)
-    faces_of_edge = {}
-    for fi, f in enumerate(cube.faces):
-        for i in range(len(f)):
-            e = frozenset((f[i], f[(i + 1) % len(f)]))
-            faces_of_edge.setdefault(e, []).append(fi)
-    faces = []
-    for e in sorted(faces_of_edge, key=sorted):
-        u, v = sorted(e)
-        f1, f2 = faces_of_edge[e]
-        faces.append([u, 8 + f1, v, 8 + f2])
+    faces = [[u, 8 + f1, v, 8 + f2]
+             for (u, v), (f1, f2) in sorted(cube.edge_faces.items())]
     return validate_map({"vertices": 14, "faces": faces})
 
 

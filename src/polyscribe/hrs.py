@@ -14,6 +14,11 @@ relaxed t* <= 0, because dropping circuit rows can only raise t*; its
 certificate is the LP dual over the binding circuits.  The full circuit
 enumeration and `solve_max_margin` over it remain as the reference the
 tests check the decisions against.
+
+Inscribability is circumscribability of the polar dual.  Its angle weights
+are reported on the primal edges the dual edges cross: that relabel is the
+dual's own edge-face incidence, `dual_map(m).edge_faces`, and the map's
+`m.edge_faces` keys them back.
 """
 
 from __future__ import annotations
@@ -39,10 +44,6 @@ def edge_key(e) -> tuple[int, int]:
     return (u, v)
 
 
-def _face_edges(face) -> frozenset[tuple[int, int]]:
-    return frozenset(edge_key((face[i], face[(i + 1) % len(face)])) for i in range(len(face)))
-
-
 @dataclass(frozen=True)
 class Circuit:
     edges: frozenset[tuple[int, int]]
@@ -56,7 +57,7 @@ def enumerate_simple_circuits(m: CombinatorialMap) -> list[Circuit]:
     A cycle equals a face boundary iff their edge sets coincide (cyclic
     sequences up to rotation and reflection are determined by their edges).
     """
-    face_sets = {_face_edges(f) for f in m.faces}
+    face_sets = set(map(frozenset, m.face_edges))
     budget = DEFAULT_CYCLE_BUDGET
     out = []
     for i, cyc in enumerate(nx.simple_cycles(m.graph())):
@@ -70,50 +71,40 @@ def enumerate_simple_circuits(m: CombinatorialMap) -> list[Circuit]:
 
 # --------------------------------------------------------------------- LP core
 
-@dataclass
-class MarginSystem:
-    """The max-margin LP data: substitute w_e = v_e + t with v_e >= 0 so all
-    structural variables are nonnegative (t split into t+ - t-).  Every
-    face row sums to 2."""
-
-    edges: list[tuple[int, int]]
-    face_edge_lists: list[list[tuple[int, int]]]
-
-    @classmethod
-    def from_map(cls, m: CombinatorialMap):
-        edges = sorted(edge_key(e) for e in m.edges)
-        fe = [sorted(_face_edges(f)) for f in m.faces]
-        return cls(edges, fe)
-
-    def build_lp(self, circuits: list[Circuit]) -> LinearProgram:
-        ne = len(self.edges)
-        idx = {e: i for i, e in enumerate(self.edges)}
-        ncols = ne + 2  # v_e ..., t+, t-
-        obj = [0] * ncols
-        obj[ne] = 1
-        obj[ne + 1] = -1
-        lp = LinearProgram(ncols, obj)
-        for fe in self.face_edge_lists:
-            row = [0] * ncols
-            for e in fe:
-                row[idx[e]] = 1
-            row[ne] = len(fe)
-            row[ne + 1] = -len(fe)
-            lp.add_row(row, EQ, 2)
-        for e in self.edges:
-            row = [0] * ncols
+def margin_lp(m: CombinatorialMap, circuits: list[Circuit]) -> LinearProgram:
+    """The max-margin LP: substitute w_e = v_e + t with v_e >= 0 so all
+    structural variables are nonnegative (t split into t+ - t-).  Columns
+    are the edges in sorted order, then t+ and t-.  Every face row sums to
+    2, every weight is at most 1, and every circuit row is at least 2."""
+    edges = sorted(m.edge_faces)
+    ne = len(edges)
+    idx = {e: i for i, e in enumerate(edges)}
+    ncols = ne + 2  # v_e ..., t+, t-
+    obj = [0] * ncols
+    obj[ne] = 1
+    obj[ne + 1] = -1
+    lp = LinearProgram(ncols, obj)
+    for fe in m.face_edges:
+        row = [0] * ncols
+        for e in fe:
             row[idx[e]] = 1
-            row[ne] = 2
-            row[ne + 1] = -2
-            lp.add_row(row, LE, 1)
-        for c in circuits:
-            row = [0] * ncols
-            for e in c.edges:
-                row[idx[e]] = 1
-            row[ne] = len(c.edges) - 1
-            row[ne + 1] = -(len(c.edges) - 1)
-            lp.add_row(row, GE, 2)
-        return lp
+        row[ne] = len(fe)
+        row[ne + 1] = -len(fe)
+        lp.add_row(row, EQ, 2)
+    for e in edges:
+        row = [0] * ncols
+        row[idx[e]] = 1
+        row[ne] = 2
+        row[ne + 1] = -2
+        lp.add_row(row, LE, 1)
+    for c in circuits:
+        row = [0] * ncols
+        for e in c.edges:
+            row[idx[e]] = 1
+        row[ne] = len(c.edges) - 1
+        row[ne + 1] = -(len(c.edges) - 1)
+        lp.add_row(row, GE, 2)
+    return lp
 
 
 @dataclass
@@ -126,27 +117,28 @@ class MarginOutcome:
     farkas: list[Fraction] | None = None
 
 
-def _cutting_planes(system: MarginSystem, separate) -> MarginOutcome:
+def _cutting_planes(m: CombinatorialMap, separate) -> MarginOutcome:
     """Start with faces and box rows; while separate(w, t) returns a
     circuit, add its row and re-solve.  The outcome is the optimum of the
     last relaxation, with the circuits added as its binding set."""
-    ne = len(system.edges)
+    edges = sorted(m.edge_faces)
+    ne = len(edges)
     active: list[Circuit] = []
     while True:
-        res = solve_lp(system.build_lp(active))
+        res = solve_lp(margin_lp(m, active))
         if res.status == "infeasible":
             return MarginOutcome("infeasible", None, None, active, None, res.farkas)
         if res.status != "optimal":
             raise RuntimeError(f"margin LP is {res.status}; t is bounded by the weight box")
         t = res.x[ne] - res.x[ne + 1]
-        w = {e: res.x[i] + t for i, e in enumerate(system.edges)}
+        w = {e: res.x[i] + t for i, e in enumerate(edges)}
         violated = separate(w, t)
         if violated is None:
             return MarginOutcome("optimal", t, w, active, res.duals)
         active.append(violated)
 
 
-def solve_max_margin(system: MarginSystem, circuits: list[Circuit]) -> MarginOutcome:
+def solve_max_margin(m: CombinatorialMap, circuits: list[Circuit]) -> MarginOutcome:
     """Exact optimum of the margin LP against the full given circuit set:
     cutting planes that add the most violated non-facial circuit of the
     list (the first in list order among ties) until none is violated."""
@@ -160,7 +152,7 @@ def solve_max_margin(system: MarginSystem, circuits: list[Circuit]) -> MarginOut
                 worst, worst_gap = c, gap
         return worst
 
-    return _cutting_planes(system, most_violated)
+    return _cutting_planes(m, most_violated)
 
 
 # ----------------------------------------------------------- separation oracle
@@ -211,17 +203,14 @@ def _min_nonfacial_circuit(m: CombinatorialMap, w: dict) -> tuple[Circuit, Fract
     for (u, v), k in iw.items():
         adj.setdefault(u, {})[v] = k
         adj.setdefault(v, {})[u] = k
-    faces_of_edge: dict = {}
-    for f in m.faces:
-        fe = _face_edges(f)
-        for e in fe:
-            faces_of_edge.setdefault(e, []).append(fe)
     best = None
     best_w = None
-    for e, (f1, f2) in sorted(faces_of_edge.items()):
+    for e, (f1, f2) in sorted(m.edge_faces.items()):
         u, v = e
-        for e1 in sorted(f1 - {e}):
-            for e2 in sorted(f2 - {e}):
+        for e1 in m.face_edges[f1]:
+            for e2 in m.face_edges[f2]:
+                if e in (e1, e2):
+                    continue
                 cut = {e, e1, e2}
                 for a, b in cut:
                     del adj[a][b], adj[b][a]
@@ -269,12 +258,12 @@ def verify_angle_assignment(m: CombinatorialMap, weights: dict,
     Without a circuit list the last check runs in polynomial time: the
     separation oracle's minimum non-facial circuit weight must exceed 2.
     """
-    if set(weights) != {edge_key(e) for e in m.edges}:
+    if weights.keys() != m.edge_faces.keys():
         return False
     if any(not 0 < x < 1 for x in weights.values()):
         return False
-    for f in m.faces:
-        if sum((weights[e] for e in _face_edges(f)), Fraction(0)) != 2:
+    for fe in m.face_edges:
+        if sum((weights[e] for e in fe), Fraction(0)) != 2:
             return False
     if circuits is None:
         found = _min_nonfacial_circuit(m, weights)
@@ -305,10 +294,9 @@ def verify_dual_witness(m: CombinatorialMap, cert: Certificate) -> bool:
     """Rebuild the relaxed LP from the certificate's binding circuits and check
     the multipliers: either a dual bound proving t <= t* <= 0, or a Farkas
     witness of outright infeasibility."""
-    system = MarginSystem.from_map(m)
     circuits = [Circuit(frozenset(edge_key(e) for e in ce), False)
                 for ce in cert.data["binding_circuits"]]
-    lp = system.build_lp(circuits)
+    lp = margin_lp(m, circuits)
     if cert.data["t_star"] is None:
         return verify_farkas(lp, [parse_rational(y) for y in cert.data["farkas"]])
     t_star = parse_rational(cert.data["t_star"])
@@ -325,8 +313,7 @@ def decide_circumscribable(m: CombinatorialMap) -> Verdict:
     already proves NO, and the oracle needs positive weights, so the loop
     stops there."""
     outcome = _cutting_planes(
-        MarginSystem.from_map(m),
-        lambda w, t: _min_violated_circuit(m, w, t) if t > 0 else None)
+        m, lambda w, t: _min_violated_circuit(m, w, t) if t > 0 else None)
     if outcome.status == "infeasible":
         # Even the closed system (face equalities within the weight box) has
         # no solution; t* = -infinity sentinel.
@@ -341,20 +328,18 @@ def decide_circumscribable(m: CombinatorialMap) -> Verdict:
 
 
 def _dual_edge_to_primal(m: CombinatorialMap) -> dict:
-    """Dual edge {face_i, face_j} -> the primal edge their faces share."""
-    faces_of_edge: dict = {}
-    for fi, f in enumerate(m.faces):
-        for e in _face_edges(f):
-            faces_of_edge.setdefault(e, []).append(fi)
-    return {edge_key(fs): e for e, fs in faces_of_edge.items()}
+    """Dual edge (face_i, face_j) -> the primal edge their faces share."""
+    return dual_map(m).edge_faces
 
 
 def decide_inscribable(m: CombinatorialMap) -> Verdict:
     """Inscribable iff the polar dual is circumscribable; the certificates
     are marked on_dual, and angle weights are rekeyed from dual edges to the
-    primal edges they cross (verify_certificate keys them back)."""
-    verdict = decide_circumscribable(dual_map(m))
-    relabel = {f"{a}-{b}": e for (a, b), e in _dual_edge_to_primal(m).items()}
+    primal edges they cross, which are the dual's own edge-face incidence
+    (verify_certificate keys them back with m's)."""
+    dual = dual_map(m)
+    verdict = decide_circumscribable(dual)
+    relabel = {f"{a}-{b}": e for (a, b), e in dual.edge_faces.items()}
     certs = []
     for cert in verdict.certificates:
         data = {**cert.data, "on_dual": True}
@@ -380,8 +365,7 @@ def verify_certificate(m: CombinatorialMap, cert: Certificate) -> bool:
         return verify_dual_witness(target, cert)
     weights = parse_angle_assignment(cert)
     if on_dual:
-        back = {e: d for d, e in _dual_edge_to_primal(m).items()}
-        weights = {back.get(e): x for e, x in weights.items()}
+        weights = {m.edge_faces.get(e): x for e, x in weights.items()}
     return verify_angle_assignment(target, weights)
 
 

@@ -10,6 +10,14 @@ connectivity and the cut that a rejection reports; when its graph is
 3-connected all the same, some vertex star is pinched, and the faces are
 rejected for it.  Polyhedral maps are closed under duality, so a dual is
 built without a second validation.
+
+A map carries its incidence, built once with it: the faces of each edge,
+the edges of each face and the faces around each vertex.  Validation, the
+dual and the angle systems all read it.  `edges` keeps the order it is
+built in, because networkx's cuts depend on the order `graph()` hands it
+the edges.  The faces of a dual edge are the stars of the two ends of the
+primal edge it crosses, so `dual_map(m).edge_faces` is the relabel from
+dual edges to primal edges, and `m.edge_faces` is its inverse.
 """
 
 from __future__ import annotations
@@ -31,22 +39,48 @@ from .lazy import nx
 
 @dataclass(frozen=True)
 class CombinatorialMap:
-    """The combinatorial type of a 3-polytope."""
+    """The combinatorial type of a 3-polytope, with its incidence.
+
+    `edge_faces` maps each sorted edge (u, v) to its face indices in face
+    order, keyed in order of first appearance; `face_edges` holds each
+    face's sorted edges, sorted; `stars` holds, for each vertex v, the
+    (face index, vertex before v, vertex after v) of every face through v,
+    in face order.  `graph()` inserts edges in the iteration order of
+    `edges`, which decides the cuts networkx reports."""
 
     n_vertices: int
     faces: tuple[tuple[int, ...], ...]
     name: str | None = None
     edges: frozenset[frozenset[int]] = field(init=False, compare=False)
+    edge_faces: dict[tuple[int, int], tuple[int, ...]] = field(
+        init=False, compare=False, repr=False)
+    face_edges: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, compare=False, repr=False)
+    stars: list[list[tuple[int, int, int]]] = field(init=False, compare=False, repr=False)
     # The polar dual, built by the first dual_map call on this map.
     _dual: CombinatorialMap | None = field(default=None, init=False,
                                            compare=False, repr=False)
 
     def __post_init__(self):
-        es = set()
-        for f in self.faces:
+        edge_faces: dict = {}
+        face_edges = []
+        stars = [[] for _ in range(self.n_vertices)]
+        for fi, f in enumerate(self.faces):
+            fe = []
             for i, u in enumerate(f):
-                es.add(frozenset((u, f[(i + 1) % len(f)])))
-        object.__setattr__(self, "edges", frozenset(es))
+                v = f[(i + 1) % len(f)]
+                e = (u, v) if u < v else (v, u)
+                edge_faces.setdefault(e, []).append(fi)
+                fe.append(e)
+                stars[u].append((fi, f[i - 1], v))
+            face_edges.append(tuple(sorted(fe)))
+        # Through a set: a frozenset made straight from the pairs would
+        # iterate in another order, and the cuts networkx reports with it.
+        object.__setattr__(self, "edges", frozenset(set(map(frozenset, edge_faces))))
+        object.__setattr__(self, "edge_faces",
+                           {e: tuple(fs) for e, fs in edge_faces.items()})
+        object.__setattr__(self, "face_edges", tuple(face_edges))
+        object.__setattr__(self, "stars", stars)
 
     @property
     def n_faces(self) -> int:
@@ -92,25 +126,21 @@ def validate_map(raw) -> CombinatorialMap:
         if len(set(f)) != len(f):
             raise DegenerateFace(i, f, "repeated vertex")
 
-    # Edges are keyed in the order networkx is given them below, which
-    # decides the cut that a rejection reports.
-    edge_faces: dict[frozenset[int], list[int]] = {}
-    for fi, f in enumerate(faces):
-        for i, u in enumerate(f):
-            edge_faces.setdefault(frozenset((u, f[(i + 1) % len(f)])), []).append(fi)
-    for e, fs in sorted(edge_faces.items(), key=lambda kv: sorted(kv[0])):
+    m = CombinatorialMap(n, tuple(tuple(f) for f in faces), raw.get("name"))
+    for e, fs in sorted(m.edge_faces.items()):
         if len(fs) != 2:
-            raise EdgeNotInTwoFaces(sorted(e), len(fs))
+            raise EdgeNotInTwoFaces(e, len(fs))
 
-    v, e, fc = n, len(edge_faces), len(faces)
+    v, e, fc = n, len(m.edge_faces), len(faces)
     if v - e + fc != 2:
         raise EulerViolation(v, e, fc)
 
-    stars = _vertex_stars(n, faces)
-    if not _polyhedral(stars, edge_faces):
+    if not _polyhedral(m):
+        # Edges go to networkx in order of first appearance, which decides
+        # the cut that a rejection reports.
         g = nx.Graph()
         g.add_nodes_from(range(n))
-        g.add_edges_from(tuple(sorted(ed)) for ed in edge_faces)
+        g.add_edges_from(m.edge_faces)
         if not nx.is_connected(g):
             raise NotThreeConnected(0, None)
         k = nx.node_connectivity(g)
@@ -120,7 +150,7 @@ def validate_map(raw) -> CombinatorialMap:
         # Faces whose vertex stars are single cycles glue into the sphere,
         # and with a 3-connected graph they are polyhedral; so some vertex
         # star here is pinched into several cycles.
-        for v, star in enumerate(stars):
+        for v, star in enumerate(m.stars):
             _rotation_at_vertex(faces, star, v)
 
     edges = raw.get("edges")
@@ -128,21 +158,10 @@ def validate_map(raw) -> CombinatorialMap:
         if not isinstance(edges, list) or not all(
                 isinstance(ed, list) and all(isinstance(v, int) for v in ed) for ed in edges):
             raise ParseError("'edges' must be a list of vertex lists")
-        given = {frozenset(ed) for ed in edges}
-        if given != set(edge_faces):
+        if {frozenset(ed) for ed in edges} != m.edges:
             raise ParseError("explicit edge list does not match edges derived from faces")
 
-    return CombinatorialMap(n, tuple(tuple(f) for f in faces), raw.get("name"))
-
-
-def _vertex_stars(n: int, faces) -> list[list[tuple[int, int, int]]]:
-    """For each vertex v, (face index, vertex before v, vertex after v) of
-    every face through v, in face order."""
-    stars = [[] for _ in range(n)]
-    for fi, f in enumerate(faces):
-        for i, v in enumerate(f):
-            stars[v].append((fi, f[i - 1], f[(i + 1) % len(f)]))
-    return stars
+    return m
 
 
 def _star_walk(star) -> list[int]:
@@ -177,7 +196,7 @@ def _star_walk(star) -> list[int]:
     return order
 
 
-def _polyhedral(stars, edge_faces) -> bool:
+def _polyhedral(m: CombinatorialMap) -> bool:
     """Whether faces already known to be simple cycles, with every edge in
     exactly two faces and V - E + F = 2, form a polyhedral map on the
     sphere, whose graph is then 3-connected.
@@ -197,6 +216,7 @@ def _polyhedral(stars, edge_faces) -> bool:
     The cost is O(sum of squared degrees).  False means only that the
     faces do not show it; the caller then decides with max-flow.
     """
+    stars = m.stars
     seen = {0}
     todo = [0]
     while todo:
@@ -212,7 +232,7 @@ def _polyhedral(stars, edge_faces) -> bool:
     shared = Counter()
     for star in stars:
         shared.update(combinations([fi for fi, _, _ in star], 2))
-    edge_pairs = {tuple(fs) for fs in edge_faces.values()}
+    edge_pairs = set(m.edge_faces.values())
     return all(c < 2 or (c == 2 and pair in edge_pairs) for pair, c in shared.items())
 
 
@@ -236,23 +256,10 @@ def dual_map(m: CombinatorialMap) -> CombinatorialMap:
 
 
 def _build_dual(m: CombinatorialMap) -> CombinatorialMap:
-    stars = _vertex_stars(m.n_vertices, m.faces)
     dual_faces = tuple(tuple(_rotation_at_vertex(m.faces, star, v))
-                       for v, star in enumerate(stars))
+                       for v, star in enumerate(m.stars))
     name = f"dual({m.name})" if m.name else None
     return CombinatorialMap(m.n_faces, dual_faces, name)
-
-
-def maps_isomorphic(a: CombinatorialMap, b: CombinatorialMap) -> bool:
-    """Graph isomorphism respecting the face structure (faces as vertex sets)."""
-    ga, gb = a.graph(), b.graph()
-    matcher = nx.algorithms.isomorphism.GraphMatcher(ga, gb)
-    fa = a.face_sets()
-    fb = b.face_sets()
-    for mapping in matcher.isomorphisms_iter():
-        if {frozenset(mapping[v] for v in f) for f in fa} == fb:
-            return True
-    return False
 
 
 def parse_map_json(text: str) -> CombinatorialMap:

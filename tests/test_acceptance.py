@@ -39,8 +39,7 @@ def _verify_yes(m, verdict):
     target = dual_map(m) if cert.data.get("on_dual") else m
     w = hrs.parse_angle_assignment(cert)
     if cert.data.get("on_dual"):
-        primal_to_dual = {v: k for k, v in hrs._dual_edge_to_primal(m).items()}
-        w = {primal_to_dual[e]: x for e, x in w.items()}
+        w = {m.edge_faces[e]: x for e, x in w.items()}
     assert all(0 < x < 1 for x in w.values())
     circuits = hrs.enumerate_simple_circuits(target)
     for c in circuits:

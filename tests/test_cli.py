@@ -186,6 +186,22 @@ def test_analyze_builds_one_dual(mapfile, capsys, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("name, test, cutset", [
+    ("icosahedron", "connectivity", [0, 3, 5, 9, 10]),
+    ("truncated-tetrahedron", "connectivity", [0, 1, 6]),
+    ("prism-3", "connectivity", [0, 1, 5]),
+    ("prism-8", "connectivity", [0, 6, 15]),
+    ("prism-4", "simple-polytope characterization", [0, 1, 3, 5]),
+])
+def test_analyze_cutsets_follow_the_edge_order(mapfile, capsys, name, test, cutset):
+    # networkx's minimum cut depends on the order graph() hands it the
+    # edges, so these reported cutsets pin the order of CombinatorialMap.edges
+    rc, out = run(capsys, "analyze", mapfile(name), "--json")
+    found = [c["data"]["cutset"] for t in json.loads(out)["tests"] if t["name"] == test
+             for c in t["certificates"] if c["kind"] == "ConnectivityWitness"]
+    assert rc == 0 and found == [cutset]
+
+
 def test_analyze_prism_15_toughness_unknown(tmp_path, capsys):
     # 30 vertices exceed the toughness budget of 22: those tests answer
     # UNKNOWN (exit 2) instead of enumerating subsets for minutes

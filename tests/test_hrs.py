@@ -3,9 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from polyscribe.corpus import CORPUS_NAMES, named_polytope, prism, stack_on_face
-from polyscribe.hrs import (MarginSystem, _min_nonfacial_circuit,
-                            decide_circumscribable, decide_inscribable,
-                            decide_quadric_inscribable, enumerate_simple_circuits,
+from polyscribe.hrs import (_min_nonfacial_circuit, decide_circumscribable,
+                            decide_inscribable, decide_quadric_inscribable,
+                            enumerate_simple_circuits, margin_lp,
                             parse_angle_assignment, solve_max_margin,
                             verify_angle_assignment, verify_dual_witness)
 from polyscribe.maps import dual_map
@@ -17,7 +17,7 @@ from polyscribe.verdicts import Answer, CertKind
 def _solve(name):
     m = named_polytope(name)
     circuits = enumerate_simple_circuits(m)
-    return m, circuits, solve_max_margin(MarginSystem.from_map(m), circuits)
+    return m, circuits, solve_max_margin(m, circuits)
 
 
 def test_circuit_counts():
@@ -59,11 +59,10 @@ def test_contradictory_face_row_infeasible():
     # 8 triangle rows and the 6 square rows give two different totals
     # (16 and 12) for the same sum over all edges
     m = named_polytope("cuboctahedron")
-    system = MarginSystem.from_map(m)
-    out = solve_max_margin(system, enumerate_simple_circuits(m))
+    out = solve_max_margin(m, enumerate_simple_circuits(m))
     assert out.status == "infeasible" and out.t_star is None
     assert out.active_circuits == []
-    assert verify_farkas(system.build_lp(out.active_circuits), out.farkas)
+    assert verify_farkas(margin_lp(m, out.active_circuits), out.farkas)
 
 
 def test_decide_circumscribable_yes_no():
@@ -161,7 +160,7 @@ def test_decision_matches_full_enumeration(name):
     are infeasible."""
     m = REFERENCE_MAPS[name]()
     circuits = enumerate_simple_circuits(m)
-    full = solve_max_margin(MarginSystem.from_map(m), circuits)
+    full = solve_max_margin(m, circuits)
     v = decide_circumscribable(m)
     cert = v.certificates[0]
     if v.answer is Answer.YES:
@@ -181,7 +180,7 @@ def test_decision_matches_full_enumeration(name):
             assert full.status == "optimal"
             assert full.t_star <= parse_rational(cert.data["t_star"]) <= 0
     # positive weights with no structure, so face sums do not decide
-    w = {e: F(1 + i % 5, 7) for i, e in enumerate(sorted(MarginSystem.from_map(m).edges))}
+    w = {e: F(1 + i % 5, 7) for i, e in enumerate(sorted(m.edge_faces))}
     _oracle_agrees(m, circuits, w)
 
 
@@ -190,7 +189,7 @@ def test_oracle_verify_rejects_short_nonfacial_circuit():
     # every weight lies in (0,1), but a non-facial circuit sums to at most 2
     m = named_polytope("triakis-tetrahedron")
     circuits = enumerate_simple_circuits(m)
-    w = solve_max_margin(MarginSystem.from_map(m), []).weights
+    w = solve_max_margin(m, []).weights
     assert all(0 < x < 1 for x in w.values())
     assert _enumerated_min(circuits, w) <= 2
     assert not verify_angle_assignment(m, w)

@@ -11,8 +11,7 @@ from polyscribe.corpus import (CORPUS_NAMES, kleetope, named_polytope, prism,
 from polyscribe.errors import (DegenerateFace, EdgeNotInTwoFaces,
                                EulerViolation, NotThreeConnected, ParseError,
                                PolyscribeError)
-from polyscribe.maps import (CombinatorialMap, _rotation_at_vertex,
-                             _vertex_stars, dual_map, maps_isomorphic,
+from polyscribe.maps import (CombinatorialMap, _rotation_at_vertex, dual_map,
                              parse_map_json, serialize_map_json, validate_map)
 
 TETRA = {"vertices": 4, "faces": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}
@@ -53,6 +52,14 @@ def test_degenerate_face_rejected():
     with pytest.raises(DegenerateFace):
         validate_map({"vertices": 4,
                       "faces": [[0, 1, 1], [0, 1, 3], [0, 2, 3], [1, 2, 3]]})
+
+
+def maps_isomorphic(a: CombinatorialMap, b: CombinatorialMap) -> bool:
+    """Graph isomorphism respecting the face structure (faces as vertex sets)."""
+    matcher = nx.algorithms.isomorphism.GraphMatcher(a.graph(), b.graph())
+    fa, fb = a.face_sets(), b.face_sets()
+    return any({frozenset(mapping[v] for v in f) for f in fa} == fb
+               for mapping in matcher.isomorphisms_iter())
 
 
 def test_dual_involution():
@@ -131,9 +138,37 @@ def ref_validate_map(raw, name=None):
     return CombinatorialMap(n, tuple(tuple(f) for f in faces), name)
 
 
+def ref_incidence(m):
+    """(edge_faces, face_edges, stars) of m, from its faces alone."""
+    def cycle(f):
+        return [tuple(sorted(e)) for e in zip(f, f[1:] + f[:1])]
+    edge_faces = {}
+    for fi, f in enumerate(m.faces):
+        for e in cycle(f):
+            edge_faces.setdefault(e, []).append(fi)
+    face_edges = tuple(tuple(sorted(cycle(f))) for f in m.faces)
+    stars = [[(fi, f[f.index(v) - 1], f[(f.index(v) + 1) % len(f)])
+              for fi, f in enumerate(m.faces) if v in f]
+             for v in range(m.n_vertices)]
+    return {e: tuple(fs) for e, fs in edge_faces.items()}, face_edges, stars
+
+
+def ref_dual_edge_to_primal(m):
+    """Dual edge (face_i, face_j) -> the primal edge their faces share,
+    from m's faces alone."""
+    def edge_key(e):
+        u, v = sorted(e)
+        return (u, v)
+    faces_of_edge = {}
+    for fi, f in enumerate(m.faces):
+        for e in frozenset(edge_key((f[i], f[(i + 1) % len(f)])) for i in range(len(f))):
+            faces_of_edge.setdefault(e, []).append(fi)
+    return {edge_key(fs): e for e, fs in faces_of_edge.items()}
+
+
 def ref_dual(m):
     """The dual as it was built before: rotations, then a full validation."""
-    stars = _vertex_stars(m.n_vertices, m.faces)
+    stars = ref_incidence(m)[2]
     faces = [list(_rotation_at_vertex(m.faces, star, v)) for v, star in enumerate(stars)]
     name = f"dual({m.name})" if m.name else None
     return ref_validate_map({"vertices": m.n_faces, "faces": faces}, name)
@@ -262,3 +297,51 @@ def test_polyhedral_maps_need_no_max_flow(monkeypatch):
     for name in CORPUS_NAMES:
         m = parse_map_json(serialize_map_json(named_polytope(name)))
         dual_map(m)
+
+
+# ------------------------------------------------------------- incidence
+
+def _incidence_maps():
+    corpus = [named_polytope(name) for name in CORPUS_NAMES]
+    out = corpus + [dual_map(m) for m in corpus]
+    out += [prism(k) for k in range(3, 30)]
+    out.append(kleetope(kleetope(named_polytope("icosahedron"))))
+    for seed in range(700):
+        raw = _plane_map(seed)
+        if raw is not None:
+            try:
+                out.append(validate_map(raw))
+            except PolyscribeError:
+                pass
+    return out
+
+
+def _ordered_edges(m):
+    """The edge set, added to a set in face order: its iteration order is
+    the one graph() and the cuts networkx reports depend on."""
+    es = set()
+    for f in m.faces:
+        for i, u in enumerate(f):
+            es.add(frozenset((u, f[(i + 1) % len(f)])))
+    return frozenset(es)
+
+
+def test_incidence_matches_reference():
+    maps_seen = _incidence_maps()
+    assert len(maps_seen) > 250
+    for m in maps_seen:
+        edge_faces, face_edges, stars = ref_incidence(m)
+        assert list(m.edge_faces.items()) == list(edge_faces.items()), m.faces
+        assert m.face_edges == face_edges, m.faces
+        assert m.stars == stars, m.faces
+        assert list(m.edges) == list(_ordered_edges(m)), m.faces
+
+
+def test_dual_incidence_is_the_edge_relabel():
+    """The faces of a dual edge are the stars of the primal edge's ends, so
+    the dual's edge_faces relabels dual edges to primal edges, and the
+    map's own edge_faces is the inverse."""
+    for m in _incidence_maps():
+        relabel = ref_dual_edge_to_primal(m)
+        assert dual_map(m).edge_faces == relabel, m.faces
+        assert {e: d for d, e in relabel.items()} == m.edge_faces, m.faces

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 from polyscribe import hrs
 from polyscribe.verdicts import Answer
@@ -46,6 +47,30 @@ def test_separator_scaling_smoke():
     assert all(len(row) == 5 for row in rows[:2])
     assert rows[2][:2] == ["fitted", "exponent:"] and len(rows) == 3
     assert 0 < float(rows[2][2]) < 1
+
+
+def test_separator_scaling_one_size_has_no_exponent(capsys):
+    load_script("separator_scaling").main(["--sizes", "60", "--trials", "5"])
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split()[0] == "60"
+    assert out[-1] == "fitted exponent: n/a"
+
+
+def test_separator_scaling_fits_only_positive_medians(monkeypatch, capsys):
+    scaling = load_script("separator_scaling")
+    medians = {100: 10, 200: 0, 400: 40}
+
+    def separator(n, trials, seed):
+        return SimpleNamespace(median_hits=medians[n], mean_hits=medians[n], min_hits=0)
+    monkeypatch.setattr(scaling, "near_uniform_system", lambda n, seed: n)
+    monkeypatch.setattr(scaling, "random_hyperplane_separator", separator)
+    scaling.main(["--sizes", "100", "200", "400"])
+    # log(40/10) / log(400/100): the zero median at n = 200 is left out,
+    # and n = 400 keeps its own median
+    assert capsys.readouterr().out.splitlines()[-1].startswith("fitted exponent: 1.000 ")
+    medians[400] = 0
+    scaling.main(["--sizes", "100", "200", "400"])
+    assert capsys.readouterr().out.splitlines()[-1] == "fitted exponent: n/a"
 
 
 def test_cyclic_scribe_table_rejects_n_past_the_hull_limit():
