@@ -2,8 +2,10 @@
 """Survey inscribability and circumscribability over the built-in corpus.
 
 Prints one line per named map with graph statistics and the exact verdicts,
-and cross-checks every verdict pair against polar duality; exits 1 at the
-first map whose pair disagrees.
+and re-checks every verdict from its certificates alone: a YES must carry
+an angle assignment and a NO an LP dual witness, each accepted by
+`hrs.verify_certificate`.  Exits 1 at the first map whose verdict does not
+re-check.
 
 Usage: python3 scripts/corpus_survey.py
 """
@@ -12,8 +14,18 @@ import sys
 
 from polyscribe.corpus import CORPUS_NAMES, named_polytope
 from polyscribe.graphs import vertex_connectivity
-from polyscribe.hrs import decide_circumscribable, decide_inscribable
-from polyscribe.maps import dual_map
+from polyscribe.hrs import decide_circumscribable, decide_inscribable, verify_certificate
+from polyscribe.verdicts import Answer, CertKind
+
+# The certificate kind that proves each answer.
+PROOF = {Answer.YES: CertKind.ANGLE_ASSIGNMENT, Answer.NO: CertKind.LP_DUAL_WITNESS}
+
+
+def proved(m, verdict) -> bool:
+    """Whether the verdict's certificates prove its answer about m."""
+    kind = PROOF.get(verdict.answer)
+    return bool(verdict.certificates) and all(
+        c.kind is kind and verify_certificate(m, c) for c in verdict.certificates)
 
 
 def main():
@@ -21,18 +33,16 @@ def main():
           f"{'inscribable':>12} {'circumscribable':>16}")
     for name in CORPUS_NAMES:
         m = named_polytope(name)
-        g = m.graph()
         insc = decide_inscribable(m)
         circ = decide_circumscribable(m)
-        k, _ = vertex_connectivity(g)
+        k, _ = vertex_connectivity(m.graph())
         print(f"{name:<24} {m.n_vertices:>3} {len(m.edges):>3} "
               f"{m.n_faces:>3} {k:>4} {insc.answer.value:>12} "
               f"{circ.answer.value:>16}")
-        if (insc.answer != decide_circumscribable(dual_map(m)).answer
-                or circ.answer != decide_inscribable(dual_map(m)).answer):
-            print(f"\nduality cross-check failed for {name}", file=sys.stderr)
+        if not (proved(m, insc) and proved(m, circ)):
+            print(f"\ncertificate re-check failed for {name}", file=sys.stderr)
             return 1
-    print("\nduality cross-check passed for all maps")
+    print("\ncertificate re-check passed for all maps")
     return 0
 
 

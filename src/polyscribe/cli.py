@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,38 +28,6 @@ SCHEMA = 1
 
 def _cert_json(cert):
     return {"kind": cert.kind.value, "data": cert.data, "conclusion": cert.conclusion}
-
-
-@dataclass
-class AnalysisReport:
-    schema: int
-    input: dict
-    structure: dict
-    tests: list = field(default_factory=list)
-    verdicts: dict = field(default_factory=dict)
-    budgets: dict = field(default_factory=dict)
-    certificates_verified: bool | None = None
-    timing: dict = field(default_factory=dict)  # text output only
-
-    def to_json(self) -> str:
-        data = asdict(self)
-        del data["timing"]
-        return json.dumps(data, indent=1) + "\n"
-
-    def to_text(self) -> str:
-        lines = [f"analysis of {self.input['name']} ({self.input['sha256'][:12]})",
-                 f"  vertices {self.structure['vertices']}, edges "
-                 f"{self.structure['edges']}, faces {self.structure['faces']}"]
-        for t in self.tests:
-            lines.append(f"  [{t['outcome']:>9s}] {t['name']}: {t['note']}")
-        lines.append("verdicts:")
-        for q, a in self.verdicts.items():
-            lines.append(f"  {q}: {a}")
-        if self.certificates_verified is not None:
-            lines.append(f"certificates re-checked: {self.certificates_verified}")
-        if self.timing:
-            lines.append(f"elapsed: {self.timing['seconds']:.3f}s")
-        return "\n".join(lines) + "\n"
 
 
 def _input_identity(path: str, text: str) -> dict:
@@ -96,26 +63,18 @@ def _recheck(cert, on) -> bool:
     return recheck_certificate(cert, on.graph())
 
 
-def _run_analysis(m, path_text, path, budget_subsets,
-                  verify_certs: bool) -> AnalysisReport:
-    t0 = time.monotonic()
+def _run_analysis(m, path_text, path, budget_subsets, verify_certs: bool) -> dict:
+    """The analysis report, as the dict its JSON output prints."""
     g = m.graph()
     dual = maps.dual_map(m)
-    report = AnalysisReport(
-        schema=SCHEMA,
-        input=_input_identity(path, path_text),
-        structure={"vertices": m.n_vertices, "edges": len(m.edges),
-                   "faces": m.n_faces},
-        budgets={"subsets": budget_subsets,
-                 "toughness": graphs.DEFAULT_TOUGHNESS_BUDGET},
-    )
+    tests = []
     # Each distinct certificate, by identity, with the map it is about: add's
     # `on` is that map, or a function of the certificate that gives it.
     about = {}
 
     def add(name, outcome, note="", certs=(), on=m):
-        report.tests.append({"name": name, "outcome": outcome, "note": note,
-                             "certificates": [_cert_json(c) for c in certs]})
+        tests.append({"name": name, "outcome": outcome, "note": note,
+                      "certificates": [_cert_json(c) for c in certs]})
         for c in certs:
             about.setdefault(id(c), (c, on(c) if callable(on) else on))
 
@@ -141,8 +100,8 @@ def _run_analysis(m, path_text, path, budget_subsets,
 
     # Toughness and supertoughness enumerate vertex subsets, so they keep
     # their own smaller budget rather than --budget-subsets.  One scan
-    # answers both, and the supertoughness result is kept for the
-    # simple-polytope characterization.
+    # answers both, and the simple-polytope characterization reads its
+    # supertoughness result.
     scan = graphs.toughness_scan(g)
     for name, result in zip(("1-tough", "1-supertough"), scan):
         if isinstance(result, BudgetExceeded):
@@ -153,7 +112,6 @@ def _run_analysis(m, path_text, path, budget_subsets,
             add(name, "PASS", f"graph is {name}")
         else:
             add(name, "FAIL", cert.conclusion, (cert,))
-    supertough = None if isinstance(scan[1], BudgetExceeded) else scan[1]
 
     k, conn_cert = graphs.vertex_connectivity(g)
     add("connectivity", "PASS", f"vertex connectivity {k}", (conn_cert,))
@@ -163,7 +121,7 @@ def _run_analysis(m, path_text, path, budget_subsets,
         "all degrees in [4,6]" if in_range else "some degree outside [4,6]")
 
     try:
-        simple = graphs.simple_polytope_characterization(m, supertough=supertough)
+        simple = graphs.simple_polytope_characterization(m, scan[1])
         if simple is None:
             add("simple-polytope characterization", "SKIP", "map is not simple")
         else:
@@ -178,34 +136,55 @@ def _run_analysis(m, path_text, path, budget_subsets,
     # inscribability certificates.
     insc = hrs.decide_inscribable(m)
     circ = hrs.decide_circumscribable(m)
-    quad = hrs.decide_quadric_inscribable(m, sphere=insc)
+    quad = hrs.decide_quadric_inscribable(m, insc)
     add("inscribable (angle system on dual)", insc.answer.value, insc.note,
         insc.certificates)
     add("circumscribable (angle system)", circ.answer.value, circ.note,
         circ.certificates)
     add("quadric-inscribable", quad.answer.value, quad.note, quad.certificates)
 
-    report.verdicts = {
-        "inscribable": insc.answer.value,
-        "circumscribable": circ.answer.value,
-        "hyperboloid": quad.answer.value,
-        "cylinder": quad.answer.value,
+    return {
+        "schema": SCHEMA,
+        "input": _input_identity(path, path_text),
+        "structure": {"vertices": m.n_vertices, "edges": len(m.edges),
+                      "faces": m.n_faces},
+        "tests": tests,
+        "verdicts": {"inscribable": insc.answer.value,
+                     "circumscribable": circ.answer.value,
+                     "hyperboloid": quad.answer.value,
+                     "cylinder": quad.answer.value},
+        "budgets": {"subsets": budget_subsets,
+                    "toughness": graphs.DEFAULT_TOUGHNESS_BUDGET},
+        "certificates_verified": (all(_recheck(c, on) for c, on in about.values())
+                                  if verify_certs else None),
     }
-    if verify_certs:
-        report.certificates_verified = all(_recheck(c, on) for c, on in about.values())
-    report.timing = {"seconds": time.monotonic() - t0}
-    return report
+
+
+def _analysis_text(report: dict, seconds: float) -> str:
+    lines = [f"analysis of {report['input']['name']} ({report['input']['sha256'][:12]})",
+             "  vertices {vertices}, edges {edges}, faces {faces}".format(
+                 **report["structure"])]
+    for t in report["tests"]:
+        lines.append(f"  [{t['outcome']:>9s}] {t['name']}: {t['note']}")
+    lines.append("verdicts:")
+    for q, a in report["verdicts"].items():
+        lines.append(f"  {q}: {a}")
+    if report["certificates_verified"] is not None:
+        lines.append(f"certificates re-checked: {report['certificates_verified']}")
+    lines.append(f"elapsed: {seconds:.3f}s")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_analyze(args) -> int:
     text = _read(args.mapfile)
     m = maps.parse_map_json(text)
+    t0 = time.monotonic()
     report = _run_analysis(m, text, args.mapfile, args.budget_subsets,
                            args.verify_certificates)
-    sys.stdout.write(report.to_json() if args.json else report.to_text())
-    if "UNKNOWN" in {t["outcome"] for t in report.tests} | set(report.verdicts.values()):
-        return 2
-    return 0
+    sys.stdout.write(json.dumps(report, indent=1) + "\n" if args.json
+                     else _analysis_text(report, time.monotonic() - t0))
+    outcomes = {t["outcome"] for t in report["tests"]} | set(report["verdicts"].values())
+    return 2 if "UNKNOWN" in outcomes else 0
 
 
 def cmd_decide(args) -> int:
@@ -216,7 +195,7 @@ def cmd_decide(args) -> int:
     elif args.question == "circumscribable":
         v = hrs.decide_circumscribable(m)
     else:
-        v = hrs.decide_quadric_inscribable(m)
+        v = hrs.decide_quadric_inscribable(m, hrs.decide_inscribable(m))
     if args.json:
         sys.stdout.write(json.dumps({
             "schema": SCHEMA, "input": _input_identity(args.mapfile, text),
@@ -377,7 +356,7 @@ def cmd_separator(args) -> int:
     cs = caps_mod.parse_caps_json(text)
     rep = caps_mod.random_hyperplane_separator(cs, args.trials, args.seed)
     if args.json:
-        data = {**asdict(rep), "median_hits": format_rational(rep.median_hits),
+        data = {**vars(rep), "median_hits": format_rational(rep.median_hits),
                 "mean_hits": format_rational(rep.mean_hits), "schema": SCHEMA,
                 "input": _input_identity(args.capfile, text)}
         sys.stdout.write(json.dumps(data, indent=1) + "\n")

@@ -86,7 +86,6 @@ def _with_name(m: CombinatorialMap, name: str) -> CombinatorialMap:
 
 _BUILDERS = {
     "tetrahedron": lambda: validate_map(_TETRA),
-    "simplex": lambda: validate_map(_TETRA),
     "cube": lambda: validate_map(_CUBE),
     "octahedron": lambda: validate_map(_OCTA),
     "icosahedron": lambda: validate_map(_ICOSA),
@@ -104,7 +103,7 @@ _BUILDERS = {
 for _n in range(3, 9):
     _BUILDERS[f"prism-{_n}"] = (lambda k: lambda: prism(k))(_n)
 
-CORPUS_NAMES = tuple(n for n in _BUILDERS if n != "simplex")
+CORPUS_NAMES = tuple(_BUILDERS)
 
 F = Fraction
 

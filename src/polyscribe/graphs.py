@@ -294,13 +294,12 @@ def hamiltonian_certificate(cycle) -> Certificate:
 
 # ---------------------------------------------------------------- simple polytopes
 
-def simple_polytope_characterization(m: CombinatorialMap, *,
-                                     supertough=None) -> Verdict | None:
+def simple_polytope_characterization(m: CombinatorialMap, supertough) -> Verdict | None:
     """Exact inscribability for simple 3-polytopes (all degrees 3): the graph
     must be bipartite with a 4-connected dual, or 1-supertough.  Returns None
-    when the map is not simple.  A caller that already holds
-    is_one_supertough(m.graph()) passes it as supertough so the
-    subsets are not enumerated again."""
+    when the map is not simple.  supertough is toughness_scan(m.graph())[1];
+    it is read only when the first test fails, and a BudgetExceeded there is
+    raised."""
     g = m.graph()
     if any(d != 3 for _, d in g.degree):
         return None
@@ -317,7 +316,7 @@ def simple_polytope_characterization(m: CombinatorialMap, *,
             certs.append(cut_cert)
             return Verdict(Answer.YES, tuple(certs),
                            "simple, bipartite with 4-connected dual: inscribable")
-    ok, viol = supertough if supertough is not None else is_one_supertough(g)
+    ok, viol = _answer(supertough)
     if ok:
         return Verdict(Answer.YES, tuple(certs), "simple and 1-supertough: inscribable")
     certs.append(viol)

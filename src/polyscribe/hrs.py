@@ -369,14 +369,10 @@ def verify_certificate(m: CombinatorialMap, cert: Certificate) -> bool:
     return verify_angle_assignment(target, weights)
 
 
-def decide_quadric_inscribable(m: CombinatorialMap, *,
-                               sphere: Verdict | None = None) -> Verdict:
+def decide_quadric_inscribable(m: CombinatorialMap, sphere: Verdict) -> Verdict:
     """Inscribable in the one-sheet hyperboloid, and equally in the
-    cylinder, iff sphere-inscribable and Hamiltonian.  A caller that already
-    holds decide_inscribable(m) passes it as sphere so the angle system is
-    not solved again."""
-    if sphere is None:
-        sphere = decide_inscribable(m)
+    cylinder, iff sphere-inscribable and Hamiltonian; sphere is
+    decide_inscribable(m)."""
     if sphere.is_no:
         return Verdict(Answer.NO, sphere.certificates, "not sphere-inscribable")
     try:

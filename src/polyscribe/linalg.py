@@ -73,10 +73,6 @@ def rref(rows):
     return m, pivots
 
 
-def matrix_rank(rows) -> int:
-    return len(rref(rows)[1])
-
-
 def solve_linear(a_rows, b):
     """One solution x of A x = b, or None if inconsistent.
 
@@ -137,4 +133,4 @@ def affine_rank(points) -> int:
     if len(pts) <= 1:
         return 0
     p0 = pts[0]
-    return matrix_rank([list(vsub(p, p0)) for p in pts[1:]])
+    return len(rref([list(vsub(p, p0)) for p in pts[1:]])[1])

@@ -13,11 +13,14 @@ built without a second validation.
 
 A map carries its incidence, built once with it: the faces of each edge,
 the edges of each face and the faces around each vertex.  Validation, the
-dual and the angle systems all read it.  `edges` keeps the order it is
-built in, because networkx's cuts depend on the order `graph()` hands it
-the edges.  The faces of a dual edge are the stars of the two ends of the
-primal edge it crosses, so `dual_map(m).edge_faces` is the relabel from
-dual edges to primal edges, and `m.edge_faces` is its inverse.
+dual and the angle systems all read it.  Its graph and its dual are built
+on first use and kept on it, so every reader shares one of each; the graph
+is frozen, and a reader that edits it takes a copy.  `edges` keeps the
+order it is built in, because networkx's cuts depend on the order
+`graph()` hands it the edges.  The faces of a dual edge are the stars of
+the two ends of the primal edge it crosses, so `dual_map(m).edge_faces` is
+the relabel from dual edges to primal edges, and `m.edge_faces` is its
+inverse.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ class CombinatorialMap:
     # The polar dual, built by the first dual_map call on this map.
     _dual: CombinatorialMap | None = field(default=None, init=False,
                                            compare=False, repr=False)
+    # The frozen graph, built by the first graph() call.
+    _graph: nx.Graph | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         edge_faces: dict = {}
@@ -87,13 +92,20 @@ class CombinatorialMap:
         return len(self.faces)
 
     def graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n_vertices))
-        g.add_edges_from(tuple(sorted(e)) for e in self.edges)
-        return g
+        """The graph of the map, built once and frozen (`nx.freeze`)."""
+        if self._graph is None:
+            object.__setattr__(self, "_graph", nx.freeze(_build_graph(self)))
+        return self._graph
 
     def face_sets(self) -> set[frozenset[int]]:
         return {frozenset(f) for f in self.faces}
+
+
+def _build_graph(m: CombinatorialMap) -> nx.Graph:
+    g = nx.Graph()
+    g.add_nodes_from(range(m.n_vertices))
+    g.add_edges_from(tuple(sorted(e)) for e in m.edges)
+    return g
 
 
 def validate_map(raw) -> CombinatorialMap:
@@ -126,15 +138,19 @@ def validate_map(raw) -> CombinatorialMap:
         if len(set(f)) != len(f):
             raise DegenerateFace(i, f, "repeated vertex")
 
+    # These checks read the face list alone, so a vertex count far above
+    # what the faces hold costs nothing before the map is built.
+    counts = Counter((u, v) if u < v else (v, u)
+                     for f in faces for u, v in zip(f, [*f[1:], f[0]]))
+    for e, c in sorted(counts.items()):
+        if c != 2:
+            raise EdgeNotInTwoFaces(e, c)
+    if n - len(counts) + len(faces) != 2:
+        raise EulerViolation(n, len(counts), len(faces))
+    if len({v for f in faces for v in f}) < n:
+        raise NotThreeConnected(0, None)  # a vertex on no face is isolated
+
     m = CombinatorialMap(n, tuple(tuple(f) for f in faces), raw.get("name"))
-    for e, fs in sorted(m.edge_faces.items()):
-        if len(fs) != 2:
-            raise EdgeNotInTwoFaces(e, len(fs))
-
-    v, e, fc = n, len(m.edge_faces), len(faces)
-    if v - e + fc != 2:
-        raise EulerViolation(v, e, fc)
-
     if not _polyhedral(m):
         # Edges go to networkx in order of first appearance, which decides
         # the cut that a rejection reports.

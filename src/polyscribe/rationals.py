@@ -1,10 +1,12 @@
 """Exact rational scalars and their text representation.
 
-All decision paths in the package use :class:`fractions.Fraction`, which
-already guarantees lowest terms and a positive denominator.  This module
-only adds the strict string format used by the file interfaces: an
-optional sign, a decimal integer, and an optional ``/`` followed by a
-positive decimal integer.
+Every rational the package reads, reports or certifies is a
+:class:`fractions.Fraction`, which already guarantees lowest terms and a
+positive denominator.  The hot loops do not use it: the simplex tableau,
+the linear solves and the face tests scale their rows to Python ints and
+divide back only at the end.  This module only adds the strict string
+format used by the file interfaces: an optional sign, a decimal integer,
+and an optional ``/`` followed by a positive decimal integer.
 """
 
 from __future__ import annotations

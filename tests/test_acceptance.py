@@ -9,7 +9,8 @@ from polyscribe import geometry, hrs
 from polyscribe.corpus import CORPUS_NAMES, named_coordinates, named_polytope
 from polyscribe.graphs import (independent_set_obstruction, is_one_tough,
                                simple_polytope_characterization,
-                               steinitz_paint_test, vertex_connectivity)
+                               steinitz_paint_test, toughness_scan,
+                               vertex_connectivity)
 from polyscribe.hull import build_face_lattice, enumerate_facets
 from polyscribe.maps import dual_map
 from polyscribe.points import PointConfiguration, SphereRef
@@ -110,7 +111,7 @@ def test_criterion_05_simple_characterization_agrees():
     hit = 0
     for name in CORPUS_NAMES:
         m = named_polytope(name)
-        v = simple_polytope_characterization(m)
+        v = simple_polytope_characterization(m, toughness_scan(m.graph())[1])
         if v is None:
             continue
         hit += 1
@@ -118,14 +119,17 @@ def test_criterion_05_simple_characterization_agrees():
     assert hit >= 8     # tetrahedron, cube, dodecahedron, prisms, ...
 
 
+def _quadric(name):
+    m = named_polytope(name)
+    return hrs.decide_quadric_inscribable(m, hrs.decide_inscribable(m))
+
+
 def test_criterion_06_quadric_criterion():
-    v = hrs.decide_quadric_inscribable(named_polytope("cube"))
+    v = _quadric("cube")
     assert v.answer is Answer.YES
     assert any(c.kind is CertKind.HAMILTONIAN_CYCLE for c in v.certificates)
-    assert hrs.decide_quadric_inscribable(
-        named_polytope("triakis-tetrahedron")).answer is Answer.NO
-    assert hrs.decide_quadric_inscribable(
-        named_polytope("rhombic-dodecahedron")).answer is Answer.NO
+    assert _quadric("triakis-tetrahedron").answer is Answer.NO
+    assert _quadric("rhombic-dodecahedron").answer is Answer.NO
 
 
 def _gale_even(n, subset):

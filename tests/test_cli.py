@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import shlex
@@ -14,7 +15,7 @@ from polyscribe import cli, graphs, hrs, hull, maps
 from polyscribe.cli import main
 from polyscribe.caps import (ply_depth_sampling, random_visibility_system,
                              serialize_caps_json)
-from polyscribe.corpus import named_polytope, prism
+from polyscribe.corpus import CORPUS_NAMES, named_polytope, prism
 from polyscribe.maps import serialize_map_json
 from polyscribe.verdicts import CertKind
 
@@ -56,8 +57,8 @@ def test_analyze_rechecks_simple_polytope_certificates(mapfile, capsys, monkeypa
     # do not cover its vertices are a certificate the re-check must refuse
     characterize = graphs.simple_polytope_characterization
 
-    def corrupted(m, **kw):
-        v = characterize(m, **kw)
+    def corrupted(m, supertough):
+        v = characterize(m, supertough)
         certs = tuple(
             dataclasses.replace(c, data={"class_a": [0], "class_b": [1]})
             if c.kind is CertKind.BIPARTITE_CLASSES else c for c in v.certificates)
@@ -186,6 +187,24 @@ def test_analyze_builds_one_dual(mapfile, capsys, monkeypatch):
     assert len(calls) == 2
 
 
+
+def test_analyze_builds_one_graph_per_map(mapfile, capsys, monkeypatch):
+    # every test and certificate re-check reads the one graph of the map or
+    # of its dual
+    files = [mapfile("cube"), mapfile("truncated-tetrahedron")]
+    calls = []
+    build = maps._build_graph
+
+    def counted(m):
+        calls.append(m)
+        return build(m)
+    monkeypatch.setattr(maps, "_build_graph", counted)
+    for f in files:
+        calls.clear()
+        rc, out = run(capsys, "analyze", f, "--json", "--verify-certificates")
+        assert rc == 0 and json.loads(out)["certificates_verified"] is True
+        assert len(calls) == 2 and calls[1] is maps.dual_map(calls[0])
+
 @pytest.mark.parametrize("name, test, cutset", [
     ("icosahedron", "connectivity", [0, 3, 5, 9, 10]),
     ("truncated-tetrahedron", "connectivity", [0, 1, 6]),
@@ -200,6 +219,71 @@ def test_analyze_cutsets_follow_the_edge_order(mapfile, capsys, name, test, cuts
     found = [c["data"]["cutset"] for t in json.loads(out)["tests"] if t["name"] == test
              for c in t["certificates"] if c["kind"] == "ConnectivityWitness"]
     assert rc == 0 and found == [cutset]
+
+
+# The reports record the map file's path as given, so these run in tmp_path
+# on relative file names.
+# sha256 of the stdout of `analyze NAME.json --json --verify-certificates`
+# on each corpus map; every run exits 0.
+ANALYZE_DIGESTS = {
+    "tetrahedron": "8fb1b33f7c5082c3f34d83b2f503099bc6b71f6d02b2613bab3d4c42bd81bd5e",
+    "cube": "32779d5ca2574b37cf07fce394e14a25c54e2b13c0873a28f61641ac4d4a7bdc",
+    "octahedron": "2703a6d69beb5c15f1775294908bda7f35ebf54135bc2c4267902f32c03c1a1d",
+    "icosahedron": "02e4c73af84d7302b088d63f61a57a0fc74cdd744a6777b0e8ce039320e2e139",
+    "dodecahedron": "7f962822fb1b5763a0cbe128e8a94302c683b6dcb7e4a9661a0183850eaa4514",
+    "triakis-tetrahedron": "e5fd479353f05b76ca119790bd50359d77c23a02726dd8314358455ddaf0f475",
+    "triakis-octahedron": "09407785aaf73d5b7e83a25932947fd64247bb8ae9167243c6243a19ae45ae2c",
+    "truncated-tetrahedron": "3eb758c512f086fc94171791037fc977c561a903c7004b7ba3f552ad3869a868",
+    "rhombic-dodecahedron": "794dfdbfc83eeceb7162372fa59921f9f07a10e63bfcb83ced229de62fec5252",
+    "cuboctahedron": "e2bbd9982da0caaadd7c04776d2e22a4ba4af0ec9a0d186aeab8a5680cc24a5c",
+    "stacked-tetrahedron-1": "a54323fc944697c01e5791e3e2c9e6297ef89fc4808ae0d12c2be36084671de1",
+    "stacked-tetrahedron-2": "3605215376336dca21e60b10260ec575a326224a9e5ab5c3a51e33fe50f4e3be",
+    "stacked-tetrahedron-3": "b92afa1e33b89172a6b36dda9356f8982faee10232d737afe94b1c2437dbc91e",
+    "stacked-cube-1": "5e26764c2223379c3717da203706e704feb375c89efd96ee746ffcf726a7a8a2",
+    "prism-3": "dc9133726f5e23596625823db5407893d773e8b869b210675bf5a9340d06c37e",
+    "prism-4": "47266e1a463306c6bc3c468c7a30eef8c5091095ad17da4899fe33f68bdfb381",
+    "prism-5": "756f7c696db5d9078c21b2182c9036d9243c4a925f5f33ef0d5789146d27c8a3",
+    "prism-6": "e216cbfe23974a9072541044128d8c2cdbb52475ac999b9e072f091c8f482b6a",
+    "prism-7": "6a269b3c8510d316e66906d3d1ac78365d4ff8ac0578f05679e388fd8192952c",
+    "prism-8": "7253117460c9fc927fe1f1398e40d20aa99b1cde95f42bcb70c5bf3be313b6be",
+}
+
+# sha256 of the stdout of `decide NAME.json --json --question Q`.
+DECIDE_DIGESTS = {
+    ("cube", "inscribable"): "7e5b0df3fd002c64369f6da6259682416beedb6e38aaa4c7340c3e991b96673a",
+    ("cube", "circumscribable"): "acc8facea894f408596b112947e7baef40c2987d4334342071f14c06bc6fb696",
+    ("cube", "hyperboloid"): "197ba1082949f62c5b6e149c8ff260ddeda93ecc4606e19b710bab4caf3f4f7f",
+    ("cube", "cylinder"): "34e9ec1cce6c2613993d3ef174a4eb4c6bb3cddea518d5b11c8b5226fd7b91bc",
+    ("triakis-tetrahedron", "inscribable"): "5f70defe49dfaea3689737b87c3a9ae1a8d00834a3f26185004642eff08a4391",
+    ("triakis-tetrahedron", "circumscribable"): "a9ff5c74856f75f161ef14425c2b306288434b82692f32b782a2ded98cd27fc5",
+    ("triakis-tetrahedron", "hyperboloid"): "870d8f0506f95ba5494df4a3ba3a4c78a733091acfbfd1c85be828457e1b4236",
+    ("triakis-tetrahedron", "cylinder"): "97b94d838d21a02d830d0f51b9eb2cb4dc55186c8243c739907e4ea5955a8592",
+    ("truncated-tetrahedron", "inscribable"): "07f4a04404e649b0496b960c3504e7ddf69abd952f8c21be6ecc65d8fbfcb3ae",
+    ("truncated-tetrahedron", "circumscribable"): "45a7c54308bf4cc688154a468fbee08bddddd25a7ad91504005e6f60394f3292",
+    ("truncated-tetrahedron", "hyperboloid"): "f5a6e1441b73e979fa5c9c31c7ac948635cf8df788eccc800e5587b83b8b5d09",
+    ("truncated-tetrahedron", "cylinder"): "7615d18302954b569f016940c5d7953ec1b7898aa5abf511c15ba2c7602c9651",
+    ("cuboctahedron", "inscribable"): "378052f4b17325d9b52e8930d9269fd4e60cb4237bfc16b5d4a6d17d9653fc85",
+    ("cuboctahedron", "circumscribable"): "3afe1baeed3b854d188dd34d80f3be9962499bb3d90c14066b83b08144c982da",
+    ("cuboctahedron", "hyperboloid"): "ccb4dd17e072eaa4d84c5a833776d10e0122cea9f11b5efa806a12633714bd0f",
+    ("cuboctahedron", "cylinder"): "377edf43c6dac94799faf854b7855dd5d93f36fdbd8dc43c47d77228a54a1482",
+}
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_analyze_report_is_byte_identical(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    Path(f"{name}.json").write_text(serialize_map_json(named_polytope(name)))
+    rc, out = run(capsys, "analyze", f"{name}.json", "--json", "--verify-certificates")
+    assert rc == 0 and hashlib.sha256(out.encode()).hexdigest() == ANALYZE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, question", DECIDE_DIGESTS)
+def test_decide_report_is_byte_identical(tmp_path, monkeypatch, capsys, name, question):
+    monkeypatch.chdir(tmp_path)
+    Path(f"{name}.json").write_text(serialize_map_json(named_polytope(name)))
+    rc, out = run(capsys, "decide", f"{name}.json", "--json", "--question", question)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert rc == 0 and digest == DECIDE_DIGESTS[name, question]
 
 
 def test_analyze_prism_15_toughness_unknown(tmp_path, capsys):

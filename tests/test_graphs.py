@@ -137,13 +137,18 @@ def test_rhombic_dodecahedron_not_hamiltonian():
     assert hamiltonian_cycle(named_polytope("rhombic-dodecahedron").graph()) is None
 
 
+def _characterize(name):
+    m = named_polytope(name)
+    return simple_polytope_characterization(m, toughness_scan(m.graph())[1])
+
+
 def test_simple_characterization():
-    assert simple_polytope_characterization(named_polytope("octahedron")) is None
-    v = simple_polytope_characterization(named_polytope("cube"))
+    assert _characterize("octahedron") is None
+    v = _characterize("cube")
     assert v is not None and v.answer is Answer.YES
     # bipartite-with-4-connected-dual path is not taken here, so this exercises
     # the supertoughness branch
-    v = simple_polytope_characterization(named_polytope("truncated-tetrahedron"))
+    v = _characterize("truncated-tetrahedron")
     assert v is not None and v.answer is Answer.YES
     assert "supertough" in v.note
 

@@ -204,11 +204,15 @@ def test_oracle_needs_positive_weights():
         _min_nonfacial_circuit(m, w)
 
 
+def _quadric(name):
+    m = named_polytope(name)
+    return decide_quadric_inscribable(m, decide_inscribable(m))
+
+
 def test_quadric():
-    v = decide_quadric_inscribable(named_polytope("cube"))
+    v = _quadric("cube")
     assert v.answer is Answer.YES
     assert any(c.kind is CertKind.HAMILTONIAN_CYCLE for c in v.certificates)
-    assert decide_quadric_inscribable(named_polytope("triakis-tetrahedron")).answer \
-        is Answer.NO
-    v = decide_quadric_inscribable(named_polytope("rhombic-dodecahedron"))
+    assert _quadric("triakis-tetrahedron").answer is Answer.NO
+    v = _quadric("rhombic-dodecahedron")
     assert v.answer is Answer.NO

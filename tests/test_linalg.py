@@ -8,8 +8,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from polyscribe.linalg import (affine_rank, dot, integer_frame, matrix_rank,
-                               nullspace, rref, solve_linear, values, vsub)
+from polyscribe.linalg import (affine_rank, dot, integer_frame, nullspace, rref,
+                               solve_linear, values, vsub)
 
 
 def ref_rref(rows):
@@ -120,7 +120,6 @@ def _check(rows, b):
     assert pivots == ref_pivots
     assert [values(row) for row in red] == ref
     assert all(row[-1] > 0 for row in red)
-    assert matrix_rank(rows) == len(ref_pivots)
 
     x = solve_linear(rows, b)
     assert x == ref_solve_linear(rows, b)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -44,6 +45,38 @@ def test_two_connected_rejected():
                         DegenerateFace)):
         validate_map({"vertices": 6, "faces": faces})
 
+
+
+@pytest.mark.parametrize("n, faces, error, message", [
+    (10 ** 8, TETRA["faces"], EulerViolation,
+     "Euler relation violated: V-E+F = 100000000-6+4 = 99999998 != 2"),
+    # the hemi-cube: V - E + F = 2 with vertex 4 isolated
+    (5, [[0, 1, 2, 3], [0, 2, 1, 3], [0, 1, 3, 2]], NotThreeConnected,
+     "graph is only 0-connected (cutset ?)"),
+    (10 ** 6, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 999999]], EdgeNotInTwoFaces,
+     "edge (1, 3) appears in 1 faces, expected 2"),
+])
+def test_vertices_on_no_face_are_rejected_from_the_faces(n, faces, error, message):
+    # a declared vertex that no face holds is rejected from the face list
+    # alone, before anything is allocated per declared vertex
+    tracemalloc.start()
+    try:
+        with pytest.raises(error) as info:
+            validate_map({"vertices": n, "faces": faces})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == message and peak < 4 * 2 ** 20
+
+
+def test_graph_is_built_once_and_frozen():
+    m = named_polytope("cube")
+    for owner in (m, dual_map(m)):
+        g = owner.graph()
+        assert owner.graph() is g
+        with pytest.raises(nx.NetworkXError):
+            g.add_edge(0, owner.n_vertices)
+        assert g.number_of_edges() == len(owner.edges)
 
 def test_degenerate_face_rejected():
     with pytest.raises(DegenerateFace):
@@ -228,7 +261,7 @@ def _plane_map(seed):
         m = named_polytope("tetrahedron")
         for _ in range(rng.randint(1, 8)):
             m = stack_on_face(m, rng.randrange(m.n_faces))
-        n, g = m.n_vertices, m.graph()
+        n, g = m.n_vertices, m.graph().copy()
         thin = rng.choice((0, 0.05, 0.1, 0.2))
         g.remove_edges_from([e for e in sorted(g.edges) if rng.random() < thin])
     if not nx.is_connected(g):

@@ -83,18 +83,40 @@ def test_cyclic_scribe_table_rejects_n_past_the_hull_limit():
         raise AssertionError("n = 13 was accepted")
 
 
-def test_corpus_survey_exits_nonzero_on_duality_mismatch(monkeypatch, capsys):
+def test_corpus_survey_exits_nonzero_on_an_unproved_verdict(monkeypatch, capsys):
+    # a flipped answer keeps the certificate of the other answer, which
+    # does not prove it
     survey = load_script("corpus_survey")
     monkeypatch.setattr(survey, "CORPUS_NAMES", ["tetrahedron", "cube"])
     assert survey.main() == 0
-    assert "cross-check passed" in capsys.readouterr().out
+    assert "re-check passed" in capsys.readouterr().out
     decide = hrs.decide_inscribable
 
     def flipped(m):
         v = decide(m)
-        if m.n_vertices != 8:  # the cube, not its dual, the octahedron
+        if m.n_vertices != 8:  # the cube
             return v
         return replace(v, answer=Answer.NO if v.answer is Answer.YES else Answer.YES)
     monkeypatch.setattr(survey, "decide_inscribable", flipped)
     assert survey.main() == 1
-    assert "cross-check failed for cube" in capsys.readouterr().err
+    assert "re-check failed for cube" in capsys.readouterr().err
+
+
+def test_corpus_survey_exits_nonzero_on_a_certificate_that_does_not_recheck(
+        monkeypatch, capsys):
+    # the cube's angle assignment with one weight changed breaks a face sum
+    survey = load_script("corpus_survey")
+    monkeypatch.setattr(survey, "CORPUS_NAMES", ["cube"])
+    decide = hrs.decide_circumscribable
+
+    def corrupted(m):
+        v = decide(m)
+        cert = v.certificates[0]
+        weights = dict(cert.data["weights"])
+        edge = min(weights)
+        weights[edge] = "1/7" if weights[edge] != "1/7" else "1/5"
+        bad = replace(cert, data={**cert.data, "weights": weights})
+        return replace(v, certificates=(bad,))
+    monkeypatch.setattr(survey, "decide_circumscribable", corrupted)
+    assert survey.main() == 1
+    assert "re-check failed for cube" in capsys.readouterr().err
