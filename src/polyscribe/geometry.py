@@ -33,7 +33,7 @@ from .errors import BudgetExceeded, ParseError
 from .hull import FaceLattice, enumerate_facets
 # solve_linear is not called here; it stays bound in this module because
 # the benchmark's tracer test looks it up as geometry.solve_linear.
-from .linalg import (affine_rank, dot, integer_frame, norm_sq, rref,
+from .linalg import (affine_rank, dot, integer_frame, integer_rref, norm_sq,
                      solve_linear, vsub)
 from .points import PointConfiguration, SphereRef
 from .rationals import format_rational
@@ -81,9 +81,9 @@ class _GramKernel:
         sol = self._solved.get(support)
         if sol is None:
             g, k = self.gram, len(support)
-            rows = [[g[i][j] for j in support] + [-1, 0] for i in support]
-            rows.append([1] * k + [0, 1])
-            red, pivots = rref(rows)
+            rows = [[g[i][j] for j in support] + [-1, 0, 1] for i in support]
+            rows.append([1] * k + [0, 1, 1])
+            red, pivots = integer_rref(rows)
             if k + 1 in pivots:  # pivot in the augmented column
                 raise RuntimeError(f"nearest-point system of {support} is inconsistent")
             q = lcm(*(row[-1] for row in red[:len(pivots)]))

@@ -157,12 +157,18 @@ def solve_max_margin(m: CombinatorialMap, circuits: list[Circuit]) -> MarginOutc
 
 # ----------------------------------------------------------- separation oracle
 
-def _shortest_path(adj: dict, s: int, t: int, limit: int | None):
-    """Dijkstra from s to t on integer weights: (length, path) of a shortest
-    s-t path shorter than limit, or None if there is none."""
-    dist = {s: 0}
-    prev = {}
-    done = set()
+def _shortest_path(adj, s: int, t: int, limit: int, cut):
+    """Dijkstra from s to t on integer weights, skipping the edge ids in
+    cut: (length, path) of a shortest s-t path shorter than limit, or None
+    if there is none.  adj[x] lists (y, weight, edge id) per neighbour y.
+
+    dist only falls and each push lowers it, so a popped (d, x) with
+    d > dist[x] is stale, and x is done at its one pop with d = dist[x].
+    Heap keys (d, x) are unique, so prev[y] is the first popped node that
+    reaches dist[y]: the path does not depend on the neighbour order."""
+    dist = [limit] * len(adj)
+    prev = [-1] * len(adj)
+    dist[s] = 0
     heap = [(0, s)]
     while heap:
         d, x = heappop(heap)
@@ -171,12 +177,11 @@ def _shortest_path(adj: dict, s: int, t: int, limit: int | None):
             while path[-1] != s:
                 path.append(prev[path[-1]])
             return d, path
-        if x in done:
+        if d > dist[x]:
             continue
-        done.add(x)
-        for y, k in adj[x].items():
+        for y, k, i in adj[x]:
             nd = d + k
-            if (limit is None or nd < limit) and (y not in dist or nd < dist[y]):
+            if nd < dist[y] and i not in cut:
                 dist[y] = nd
                 prev[y] = x
                 heappush(heap, (nd, y))
@@ -189,39 +194,37 @@ def _min_nonfacial_circuit(m: CombinatorialMap, w: dict) -> tuple[Circuit, Fract
 
     Only sound for strictly positive weights (Dijkstra).  A non-facial
     circuit through edge e misses at least one other edge of each of the two
-    faces of e, so the minimum over those deletions is exhaustive.  The three
-    deleted edges are removed from one graph and restored after each search.
-    Weights are scaled by their common denominator, so the searches run on
-    integers and stay exact; a search stops once it cannot beat the best
-    circuit so far.
+    faces of e, so the minimum over those deletions is exhaustive; each
+    search skips the three deleted edges.  Weights are scaled by their
+    common denominator, so the searches run on integers and stay exact; a
+    search stops once it cannot beat the best circuit so far.
     """
     if any(x <= 0 for x in w.values()):
         raise ValueError("the separation oracle needs strictly positive weights")
     *nums, scale = scaled(w.values())
     iw = dict(zip(w, nums))
-    adj: dict = {}
+    ids = {e: i for i, e in enumerate(w)}
+    adj = [[] for _ in range(m.n_vertices)]
     for (u, v), k in iw.items():
-        adj.setdefault(u, {})[v] = k
-        adj.setdefault(v, {})[u] = k
+        adj[u].append((v, k, ids[(u, v)]))
+        adj[v].append((u, k, ids[(u, v)]))
+    face_ids = [[ids[e] for e in fe] for fe in m.face_edges]
+    # Longer than every simple path: the limit while no circuit is known.
+    best_w = sum(nums) + 1
     best = None
-    best_w = None
     for e, (f1, f2) in sorted(m.edge_faces.items()):
         u, v = e
-        for e1 in m.face_edges[f1]:
-            for e2 in m.face_edges[f2]:
-                if e in (e1, e2):
+        ie, we = ids[e], iw[e]
+        for i1 in face_ids[f1]:
+            for i2 in face_ids[f2]:
+                if ie in (i1, i2):
                     continue
-                cut = {e, e1, e2}
-                for a, b in cut:
-                    del adj[a][b], adj[b][a]
-                found = _shortest_path(adj, u, v, None if best is None else best_w - iw[e])
-                for a, b in cut:
-                    adj[a][b] = adj[b][a] = iw[(a, b)]
+                found = _shortest_path(adj, u, v, best_w - we, (ie, i1, i2))
                 if found is not None:
                     length, path = found
                     es = frozenset(edge_key((path[i], path[i + 1]))
                                    for i in range(len(path) - 1)) | {e}
-                    best, best_w = Circuit(es, False), length + iw[e]
+                    best, best_w = Circuit(es, False), length + we
     return None if best is None else (best, Fraction(best_w, scale))
 
 

@@ -4,8 +4,23 @@ Eliminations work on integer rows: the numerators of a row's rational
 entries over one positive common denominator, which comes last.  Integer
 arithmetic keeps every value exact and is much cheaper than Fraction
 arithmetic (fraction-free elimination, Bareiss 1968); the values, and so
-every pivot choice, are those of the rational rows.  `rref` and the
-simplex tableau share the one Gauss-Jordan step, `pivot`.
+every pivot choice, are those of the rational rows.  Every row is kept in
+lowest terms (gcd 1, positive denominator), its unique integer form, so
+two kernels that reduce the same rows hold the same integers.
+
+The Gauss-Jordan step comes in two kernels.  `pivot` works on a list of
+Python-int rows; `rref` and its int-row entry `integer_rref` use it.  Their
+systems are small (the Gram systems of `geometry` have at most 13 rows),
+and on the cyclic-scribe benchmark the list kernel ran them in half the
+time of the array kernel, whose per-call numpy overhead dominates there.
+`pivot_array` works on a 2-D array (`int_array`) and updates every row
+that has a nonzero in the pivot column by one vectorized
+`eliminate_rows`; the simplex tableau uses it.  The array is np.int64
+while its entries stay small, as they do on the angle-system LPs (about
+12 bits).  Before each update a guard checks max|rows| |p| + max|col|
+max|pr| < EXACT_BOUND = 2^62, which bounds every product and difference;
+when it fails the array is promoted to dtype object and the same code runs
+on Python ints.  Floats never enter.
 
 Callers that work in exact geometry move a whole point set to integers
 once (`integer_frame`): translating and scaling by a positive integer keep
@@ -18,16 +33,20 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
+
+# An int64 update a * p - f * b is exact while |a| |p| + |f| |b| stays below
+# this bound, a factor of two short of int64's range.
+EXACT_BOUND = 1 << 62
+
 
 def scaled(xs) -> list[int]:
-    """The integer row of a sequence of ints and Fractions."""
+    """The integer row of a sequence of ints and Fractions; ints alone are
+    their own numerators over 1."""
+    if set(map(type, xs)) <= {int}:
+        return [*xs, 1]
     den = lcm(*(x.denominator for x in xs))
     return [x.numerator * (den // x.denominator) for x in xs] + [den]
-
-
-def values(row) -> list[Fraction]:
-    """The rational entries of an integer row."""
-    return [Fraction(x, row[-1]) for x in row[:-1]]
 
 
 def _lowest(row):
@@ -56,9 +75,66 @@ def pivot(rows, r, c):
             rows[i] = eliminate(row, pr, c)
 
 
+def int_array(rows):
+    """Integer rows as a 2-D array: np.int64 when every entry lies below
+    EXACT_BOUND in absolute value, else dtype object (Python ints)."""
+    try:
+        t = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+    if max(int(t.max()), -int(t.min())) < EXACT_BOUND:
+        return t
+    return t.astype(object)
+
+
+def eliminate_rows(t, rows, pr, c):
+    """t with each row i of `rows` replaced by t[i] - t[i, c] * pr in lowest
+    terms, where the integer row pr has value 1 in column c.
+
+    An int64 t comes back as dtype object, updated on Python ints, when
+    max|t[rows]| |p| + max|t[rows, c]| max|pr| reaches EXACT_BOUND, p being
+    pr's denominator: below it every product and difference is exact."""
+    block = t.take(rows, axis=0)
+    f = block[:, c:c + 1]
+    p = pr[-1]
+    if t.dtype != object and (int(np.abs(block).max()) * int(p)
+                              + int(np.abs(f).max()) * int(np.abs(pr).max())
+                              >= EXACT_BOUND):
+        t, block, f, pr = (a.astype(object) for a in (t, block, f, pr))
+    out = block * p - f * pr
+    out[:, -1] = block[:, -1] * p
+    g = np.gcd.reduce(out, axis=1)
+    big = g > 1
+    out[big] //= g[big, None]
+    t[rows] = out
+    return t
+
+
+def pivot_array(t, r, c):
+    """`pivot` on the rows of a 2-D integer array (`int_array`): the same
+    rows, each updated row by one vectorized `eliminate_rows`.  Returns
+    the array, which is t, or t promoted to dtype object."""
+    pr = t[r].copy()
+    pr[-1] = pr[c]
+    if pr[-1] < 0:
+        pr = -pr
+    g = np.gcd.reduce(pr)
+    if g > 1:
+        pr //= g
+    t[r] = pr
+    rows = t[:, c].nonzero()[0]
+    rows = rows[rows != r]
+    return eliminate_rows(t, rows, pr, c) if rows.size else t
+
+
 def rref(rows):
     """Reduced row echelon form as integer rows, and the pivot columns."""
-    m = [scaled(r) for r in rows]
+    return integer_rref([scaled(r) for r in rows])
+
+
+def integer_rref(m):
+    """`rref` of integer rows in lowest terms (an int row with denominator
+    1 is), reduced in place: m, and the pivot columns."""
     pivots = []
     for c in range(len(m[0]) - 1 if m else 0):
         r = len(pivots)

@@ -3,9 +3,19 @@
 Problems are maximizations over x >= 0 with rows of relation "<=", ">="
 or "=".  The solver reports an exact optimum with primal solution and
 dual multipliers; on infeasibility it reports a Farkas-style witness.
-Everything is exact rational arithmetic: the tableau is a list of
-`linalg` integer rows, pivoted by `linalg.pivot`, so no floating point
-touches the decision path.
+Everything is exact rational arithmetic, and no floating point touches
+the decision path.
+
+The tableau is one 2-D integer array of `linalg` integer rows in lowest
+terms: the constraints, then the z-row.  It is np.int64 when every entry
+fits (an all-int program, such as every margin LP, goes in without a
+Fraction), and each pivot is one vectorized `linalg.pivot_array`.  When
+`linalg`'s guard finds that an update could overflow int64, the array is
+promoted to dtype object and the solve goes on with the same code on
+Python ints; entries past the bound from the start begin there.  A row in
+lowest terms is the unique integer form of its values, so either dtype
+makes the same Bland choices and reports the same x, duals, Farkas vector
+and pivots.  Results hold Fractions of Python ints, never numpy scalars.
 """
 
 from __future__ import annotations
@@ -13,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .linalg import eliminate, pivot, scaled, values
+import numpy as np
+
+from .linalg import eliminate_rows, int_array, pivot_array, scaled
 
 LE, GE, EQ = "<=", ">=", "="
 
@@ -38,7 +50,9 @@ class LinearProgram:
     def add_row(self, a, rel: str, b):
         if rel not in (LE, GE, EQ):
             raise ValueError(f"unknown row relation {rel!r}")
-        a = [_exact(x) for x in a]
+        a = list(a)
+        if not set(map(type, a)) <= {int}:
+            a = [_exact(x) for x in a]
         if len(a) != self.n_vars:
             raise ValueError(f"row has {len(a)} coefficients, expected {self.n_vars}")
         self.rows.append((a, rel, _exact(b)))
@@ -53,67 +67,59 @@ class LpResult:
     farkas: list[Fraction] | None = None       # infeasibility multipliers, same convention
 
 
-# Tableau rows and z-rows are `linalg` integer rows over the columns and the
-# right-hand side.
+# The tableau is one integer array: row i < m holds constraint i and row m
+# the z-row, each a `linalg` integer row over the columns and the right-hand
+# side, in lowest terms.
 
-def _reduce_against_basis(z, tab, basis):
+def _reduce_against_basis(t, basis):
+    """Eliminate the basic columns from the z-row."""
+    m = len(basis)
     for i, bc in enumerate(basis):
-        if z[bc]:
-            z = eliminate(z, tab[i], bc)
-    return z
+        if t[m, bc]:
+            t = eliminate_rows(t, [m], t[i], bc)
+    return t
 
 
-def _run_simplex(tab, basis, obj, allowed):
-    """Maximize obj (a z-row over the columns and the constant term) on the
-    tableau.
+def _run_simplex(t, basis, allowed):
+    """Maximize the z-row (in 'z_j - c_j' form, already reduced against the
+    basis) on the tableau t, which the pivots update.
 
-    obj is given in 'z_j - c_j' form already reduced against the basis and is
-    updated in place.  Returns 'optimal' or 'unbounded'.  Bland's rule
-    throughout.
+    Returns 'optimal' or 'unbounded', and t.  Bland's rule throughout: a
+    basic column has a zero z-row entry, so the entering column is the
+    first allowed one with a negative entry.
     """
-    ncols = len(obj) - 2
+    m = len(basis)
     while True:
-        basic = set(basis)
-        enter = next((j for j in range(ncols)
-                      if allowed[j] and j not in basic and obj[j] < 0), None)
-        if enter is None:
-            return "optimal"
+        negative = ((t[m, :-2] < 0) & allowed).nonzero()[0]
+        if not negative.size:
+            return "optimal", t
+        enter = int(negative[0])
+        col = t[:m, enter]
+        rows = (col > 0).nonzero()[0]
         leave = None
-        for i, row in enumerate(tab):
-            a = row[enter]
-            if a > 0:
-                # ratio b / a, compared by cross-multiplication (a, la > 0)
-                b = row[-2]
-                if leave is None or b * la < lb * a or \
-                        (b * la == lb * a and basis[i] < basis[leave]):
-                    leave, lb, la = i, b, a
+        for i, b, a in zip(rows.tolist(), t[rows, -2].tolist(), col[rows].tolist()):
+            # ratio b / a, compared by cross-multiplication (a, la > 0)
+            if leave is None or b * la < lb * a or \
+                    (b * la == lb * a and basis[i] < basis[leave]):
+                leave, lb, la = i, b, a
         if leave is None:
-            return "unbounded"
-        pivot(tab, leave, enter)
+            return "unbounded", t
+        t = pivot_array(t, leave, enter)
         basis[leave] = enter
-        obj[:] = eliminate(obj, tab[leave], enter)
 
 
 def solve_lp(lp: LinearProgram) -> LpResult:
     n = lp.n_vars
     m = len(lp.rows)
     # Normalize to b >= 0, remembering sign flips for the dual report.
-    norm = []
-    flipped = []
-    for a, rel, b in lp.rows:
-        if b < 0:
-            a = [-x for x in a]
-            b = -b
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            flipped.append(True)
-        else:
-            flipped.append(False)
-        norm.append((a, rel, b))
+    flipped = [b < 0 for _, _, b in lp.rows]
+    rels = [{LE: GE, GE: LE, EQ: EQ}[rel] if fl else rel
+            for (_, rel, _), fl in zip(lp.rows, flipped)]
 
     slack_col = [None] * m   # column of the +/-1 slack/surplus of each row
     art_col = [None] * m
     cols = n
-    for i, (a, rel, b) in enumerate(norm):
+    for i, rel in enumerate(rels):
         if rel in (LE, GE):
             slack_col[i] = cols
             cols += 1
@@ -121,39 +127,41 @@ def solve_lp(lp: LinearProgram) -> LpResult:
             art_col[i] = cols
             cols += 1
 
-    tab = []
+    # The rows' integer rows, and last the objective's as the phase-2 z-row.
+    ab = int_array([scaled([*a, b]) for a, _, b in lp.rows]
+                   + [scaled([-c for c in lp.objective[:n]] + [0])])
+    ab[:m][flipped, :-1] *= -1
+    t = np.zeros((m + 1, cols + 2), dtype=ab.dtype)
+    t[:, :n] = ab[:, :n]
+    t[:, -2:] = ab[:, n:]
+    obj2 = t[m].copy()
     basis = [-1] * m
-    for i, (a, rel, b) in enumerate(norm):
-        row = [0] * (cols + 1)
-        row[:n] = a
+    for i, rel in enumerate(rels):
+        den = ab[i, -1]
         if rel == LE:
-            row[slack_col[i]] = 1
+            t[i, slack_col[i]] = den
             basis[i] = slack_col[i]
-        elif rel == GE:
-            row[slack_col[i]] = -1
-            row[art_col[i]] = 1
-            basis[i] = art_col[i]
         else:
-            row[art_col[i]] = 1
+            if rel == GE:
+                t[i, slack_col[i]] = -den
+            t[i, art_col[i]] = den
             basis[i] = art_col[i]
-        row[-1] = b
-        tab.append(scaled(row))
 
-    artificials = {c for c in art_col if c is not None}
-    allowed1 = [True] * cols
+    artificial = np.zeros(cols, dtype=bool)
+    artificial[[c for c in art_col if c is not None]] = True
 
     # Phase 1: maximize -(sum of artificials); z-row reduced against basis.
-    obj1 = [0] * (cols + 2)
-    obj1[-1] = 1
-    for c in artificials:
-        obj1[c] = 1
-    obj1 = _reduce_against_basis(obj1, tab, basis)
-    if _run_simplex(tab, basis, obj1, allowed1) != "optimal":
+    t[m] = 0
+    t[m, :cols][artificial] = 1
+    t[m, -1] = 1
+    t = _reduce_against_basis(t, basis)
+    status, t = _run_simplex(t, basis, np.ones(cols, dtype=bool))
+    if status != "optimal":
         raise RuntimeError("phase 1 reported unbounded; its objective is bounded by 0")
-    if obj1[-2] != 0:
+    if t[m, -2] != 0:
         # Infeasible; Farkas multipliers from the phase-1 z-row.  Artificial
         # columns carry phase-1 cost -1, so their z-row entries are y_i + 1.
-        y = _extract_duals(values(obj1), slack_col, art_col, m, art_cost=Fraction(-1))
+        y = _extract_duals(t[m].tolist(), slack_col, art_col, art_cost=-1)
         y = [-yi if fl else yi for yi, fl in zip(y, flipped)]
         return LpResult("infeasible", farkas=y)
 
@@ -162,46 +170,50 @@ def solve_lp(lp: LinearProgram) -> LpResult:
     # violating its row.  A row with no nonzero non-artificial entry is
     # redundant and its artificial stays pinned at zero.
     for r in range(m):
-        if basis[r] in artificials:
-            c = next((j for j in range(cols)
-                      if j not in artificials and tab[r][j] != 0), None)
-            if c is not None:
-                pivot(tab, r, c)
+        if artificial[basis[r]]:
+            nonzero = ((t[r, :cols] != 0) & ~artificial).nonzero()[0]
+            if nonzero.size:
+                c = int(nonzero[0])
+                t = pivot_array(t, r, c)
                 basis[r] = c
 
     # Phase 2: remaining artificials sit on redundant rows and never re-enter.
-    allowed2 = [c not in artificials for c in range(cols)]
-    obj2 = [-Fraction(c) for c in lp.objective[:n]] + [Fraction(0)] * (cols - n + 1)
-    obj2 = _reduce_against_basis(scaled(obj2), tab, basis)
-    if _run_simplex(tab, basis, obj2, allowed2) == "unbounded":
+    t[m] = obj2
+    t = _reduce_against_basis(t, basis)
+    status, t = _run_simplex(t, basis, ~artificial)
+    if status == "unbounded":
         return LpResult("unbounded")
 
     x = [Fraction(0)] * n
+    rhs, den = t[:m, -2].tolist(), t[:m, -1].tolist()
     for i, bc in enumerate(basis):
         if bc < n:
-            x[bc] = Fraction(tab[i][-2], tab[i][-1])
-    z = values(obj2)
-    y = _extract_duals(z, slack_col, art_col, m, art_cost=Fraction(0))
+            x[bc] = Fraction(rhs[i], den[i])
+    z = t[m].tolist()
+    y = _extract_duals(z, slack_col, art_col, art_cost=0)
     y = [-yi if fl else yi for yi, fl in zip(y, flipped)]
-    return LpResult("optimal", objective=z[-1], x=x, duals=y)
+    return LpResult("optimal", objective=Fraction(z[-2], z[-1]), x=x, duals=y)
 
 
-def _extract_duals(obj, slack_col, art_col, m, art_cost):
-    """Row duals from the z-row: slack col (+1) carries y_i, surplus (-1) -y_i,
-    artificial (+1, cost art_cost) carries y_i - art_cost."""
-    y = [Fraction(0)] * m
-    for i in range(m):
-        if slack_col[i] is not None:
-            v = obj[slack_col[i]]
-            y[i] = -v if art_col[i] is not None else v
+def _extract_duals(z, slack_col, art_col, art_cost):
+    """Row duals from the integer z-row z: slack col (+1) carries y_i,
+    surplus (-1) -y_i, artificial (+1, cost art_cost) carries y_i - art_cost."""
+    y = []
+    for s, a in zip(slack_col, art_col):
+        if s is not None:
+            v = Fraction(z[s], z[-1])
+            y.append(-v if a is not None else v)
         else:
-            y[i] = obj[art_col[i]] + art_cost
+            y.append(Fraction(z[a], z[-1]) + art_cost)
     return y
 
 
 def _row_combination(lp: LinearProgram, y):
-    """(sum_i y_i a_i, sum_i y_i b_i), or None when a multiplier has the
-    wrong sign: y_i >= 0 on '<=' rows, y_i <= 0 on '>=' rows, free on '='."""
+    """(sum_i y_i a_i, sum_i y_i b_i), or None when y does not have one
+    multiplier per row or a multiplier has the wrong sign: y_i >= 0 on '<='
+    rows, y_i <= 0 on '>=' rows, free on '='."""
+    if len(y) != len(lp.rows):
+        return None
     total = Fraction(0)
     comb = [Fraction(0)] * lp.n_vars
     for yi, (a, rel, b) in zip(y, lp.rows):

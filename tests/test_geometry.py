@@ -279,7 +279,7 @@ def test_each_support_solved_once(monkeypatch):
     lattice = build_face_lattice(pc)
     # the kernel's only elimination is its support solve
     calls, requests = [], []
-    reduce, kernel_solve = geometry.rref, geometry._GramKernel.solve
+    reduce, kernel_solve = geometry.integer_rref, geometry._GramKernel.solve
 
     def counted(rows):
         calls.append(rows)
@@ -288,7 +288,7 @@ def test_each_support_solved_once(monkeypatch):
     def requested(self, support):
         requests.append(support)
         return kernel_solve(self, support)
-    monkeypatch.setattr(geometry, "rref", counted)
+    monkeypatch.setattr(geometry, "integer_rref", counted)
     monkeypatch.setattr(geometry._GramKernel, "solve", requested)
     report = check_ij_scribed(pc, lattice, pc.sphere, 1, 2)
     assert not report.holds and report.per_face

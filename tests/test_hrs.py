@@ -1,17 +1,21 @@
 from fractions import Fraction as F
+from heapq import heappop, heappush
 
 import pytest
 
+from polyscribe import hrs
 from polyscribe.corpus import CORPUS_NAMES, named_polytope, prism, stack_on_face
-from polyscribe.hrs import (_min_nonfacial_circuit, decide_circumscribable,
-                            decide_inscribable, decide_quadric_inscribable,
+from polyscribe.hrs import (Circuit, _min_nonfacial_circuit, decide_circumscribable,
+                            decide_inscribable, decide_quadric_inscribable, edge_key,
                             enumerate_simple_circuits, margin_lp,
                             parse_angle_assignment, solve_max_margin,
-                            verify_angle_assignment, verify_dual_witness)
+                            verify_angle_assignment, verify_certificate,
+                            verify_dual_witness)
+from polyscribe.linalg import scaled
 from polyscribe.maps import dual_map
 from polyscribe.rationals import parse_rational
 from polyscribe.simplex import verify_farkas
-from polyscribe.verdicts import Answer, CertKind
+from polyscribe.verdicts import Answer, Certificate, CertKind
 
 
 def _solve(name):
@@ -216,3 +220,103 @@ def test_quadric():
     assert _quadric("triakis-tetrahedron").answer is Answer.NO
     v = _quadric("rhombic-dodecahedron")
     assert v.answer is Answer.NO
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d + ["5"],
+    lambda d: d + ["0", "0"],
+    lambda d: d[:-1],
+], ids=["extra-5", "extra-0-0", "last-dropped"])
+def test_dual_witness_of_wrong_length_is_rejected(mutate):
+    m = named_polytope("triakis-tetrahedron")
+    cert = decide_inscribable(m).certificates[0]
+    assert cert.kind is CertKind.LP_DUAL_WITNESS and cert.data["duals"]
+    assert verify_certificate(m, cert)
+    bad = Certificate(cert.kind, {**cert.data, "duals": mutate(cert.data["duals"])},
+                      cert.conclusion)
+    assert not verify_certificate(m, bad)
+
+
+# ------------------------------------------- reference separation oracle
+
+def _ref_shortest_path(adj, s, t, limit):
+    dist, prev, done = {s: 0}, {}, set()
+    heap = [(0, s)]
+    while heap:
+        d, x = heappop(heap)
+        if x == t:
+            path = [t]
+            while path[-1] != s:
+                path.append(prev[path[-1]])
+            return d, path
+        if x in done:
+            continue
+        done.add(x)
+        for y, k in adj[x].items():
+            nd = d + k
+            if (limit is None or nd < limit) and (y not in dist or nd < dist[y]):
+                dist[y] = nd
+                prev[y] = x
+                heappush(heap, (nd, y))
+    return None
+
+
+def ref_min_nonfacial_circuit(m, w):
+    """The separation oracle on a dict-of-dicts graph, deleting the three
+    cut edges before each search and restoring them after."""
+    *nums, scale = scaled(w.values())
+    iw = dict(zip(w, nums))
+    adj = {}
+    for (u, v), k in iw.items():
+        adj.setdefault(u, {})[v] = k
+        adj.setdefault(v, {})[u] = k
+    best = best_w = None
+    for e, (f1, f2) in sorted(m.edge_faces.items()):
+        u, v = e
+        for e1 in m.face_edges[f1]:
+            for e2 in m.face_edges[f2]:
+                if e in (e1, e2):
+                    continue
+                cut = {e, e1, e2}
+                for a, b in cut:
+                    del adj[a][b], adj[b][a]
+                found = _ref_shortest_path(adj, u, v, None if best is None else best_w - iw[e])
+                for a, b in cut:
+                    adj[a][b] = adj[b][a] = iw[(a, b)]
+                if found is not None:
+                    length, path = found
+                    es = frozenset(edge_key((path[i], path[i + 1]))
+                                   for i in range(len(path) - 1)) | {e}
+                    best, best_w = Circuit(es, False), length + iw[e]
+    return None if best is None else (best, F(best_w, scale))
+
+
+ORACLE_MAPS = {**{n: (lambda n=n: named_polytope(n)) for n in CORPUS_NAMES},
+               **{f"prism({k})": (lambda k=k: prism(k)) for k in range(3, 20)}}
+ORACLE_MAPS.update({f"dual({n})": (lambda f=f: dual_map(f()))
+                    for n, f in list(ORACLE_MAPS.items())})
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MAPS))
+def test_oracle_matches_reference(name, monkeypatch):
+    """The same (circuit, weight) as the dict-based oracle on the weights
+    of every cutting-plane round, on weights where many circuits tie, and
+    on unstructured weights."""
+    m = ORACLE_MAPS[name]()
+    rounds = []
+
+    def recorded(mm, w):
+        rounds.append(dict(w))
+        return _min_nonfacial_circuit(mm, w)
+    monkeypatch.setattr(hrs, "_min_nonfacial_circuit", recorded)
+    decide_circumscribable(m)
+    monkeypatch.undo()
+    edges = sorted(m.edge_faces)
+    weights = rounds + [
+        {e: F(1, 2) for e in edges},
+        {e: F(1) for e in edges},
+        {e: F(1 + i % 2, 3) for i, e in enumerate(edges)},
+        {e: F(1 + i % 5, 7) for i, e in enumerate(edges)},
+    ]
+    for w in weights:
+        assert _min_nonfacial_circuit(m, w) == ref_min_nonfacial_circuit(m, w)

@@ -8,8 +8,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from polyscribe.linalg import (affine_rank, dot, integer_frame, nullspace, rref,
-                               solve_linear, values, vsub)
+from polyscribe.linalg import (affine_rank, dot, integer_frame, integer_rref,
+                               nullspace, rref, solve_linear, vsub)
+
+
+def values(row):
+    """The rational entries of an integer row."""
+    return [F(x, row[-1]) for x in row[:-1]]
 
 
 def ref_rref(rows):
@@ -120,6 +125,8 @@ def _check(rows, b):
     assert pivots == ref_pivots
     assert [values(row) for row in red] == ref
     assert all(row[-1] > 0 for row in red)
+    if all(type(x) is int for row in rows for x in row):
+        assert integer_rref([list(row) + [1] for row in rows]) == (red, pivots)
 
     x = solve_linear(rows, b)
     assert x == ref_solve_linear(rows, b)
