@@ -6,7 +6,7 @@ from .errors import (BudgetExceeded, DegenerateConfiguration, DegenerateSpan,
                      PointInsideBall, PolyscribeError)
 from .maps import (CombinatorialMap, dual_map, parse_map_json,
                    serialize_map_json, validate_map)
-from .corpus import CORPUS_NAMES, full_corpus, named_coordinates, named_polytope
+from .corpus import CORPUS_NAMES, named_coordinates, named_polytope
 from .points import (PointConfiguration, SphereRef, parse_points_json,
                      serialize_points_json)
 from .hull import FaceLattice, build_face_lattice, enumerate_facets
@@ -21,8 +21,7 @@ from .hrs import (decide_circumscribable, decide_inscribable,
                   solve_max_margin, verify_angle_assignment, verify_certificate,
                   verify_dual_witness)
 from .geometry import (check_ij_scribed, check_k_scribed, face_avoids,
-                       face_cuts, face_tangent, generate_cyclic_moment,
-                       generate_cyclic_trig, is_face, k_sets,
+                       generate_cyclic_moment, generate_cyclic_trig,
                        min_norm_sq_over_face, on_sphere_check,
                        verify_face_lattice)
 from .caps import (CapSystem, SphericalCap, cap_intersection_graph,

@@ -99,10 +99,11 @@ def _run_analysis(m, path_text, path, budget_subsets, verify_certs: bool) -> dic
                 "no facet-painting obstruction", dual)
 
     # Toughness and supertoughness enumerate vertex subsets, so they keep
-    # their own smaller budget rather than --budget-subsets.  One scan
-    # answers both, and the simple-polytope characterization reads its
-    # supertoughness result.
-    scan = graphs.toughness_scan(g)
+    # their own smaller budget rather than --budget-subsets.  One scan of
+    # the map answers both; it skips the cutsets that 3-connectivity and
+    # planarity rule out, and the simple-polytope characterization reads
+    # its supertoughness result.
+    scan = graphs.toughness_scan(m)
     for name, result in zip(("1-tough", "1-supertough"), scan):
         if isinstance(result, BudgetExceeded):
             add(name, "UNKNOWN", str(result))

@@ -141,7 +141,3 @@ def named_coordinates(name: str):
     """
     pts, r2 = _COORDS[name]
     return [tuple(Fraction(c) for c in p) for p in pts], r2
-
-
-def full_corpus() -> list[CombinatorialMap]:
-    return [named_polytope(n) for n in CORPUS_NAMES]

@@ -1,5 +1,5 @@
 """Exact geometric checks on realizations: sphere incidence, cut/avoid/tangent
-tests, (i,j)- and k-scribedness, inscribed cyclic constructions, k-sets.
+tests, (i,j)- and k-scribedness, inscribed cyclic constructions.
 
 Every face question goes through one kernel per realization and sphere:
 the points, recentred at the sphere center and scaled by the common
@@ -37,10 +37,10 @@ from .linalg import (affine_rank, dot, integer_frame, integer_rref, norm_sq,
                      solve_linear, vsub)
 from .points import PointConfiguration, SphereRef
 from .rationals import format_rational
-from .simplex import GE, LE, EQ, LinearProgram, solve_lp
 
 DEFAULT_ACTIVE_SET_BUDGET = 12
-DEFAULT_KSET_MAX_POINTS = 12
+# face_avoids enumerates active sets among the vertices off the face
+DEFAULT_AVOID_OTHERS_BUDGET = 24
 
 RELATIVE_INTERIOR = "relative interior"
 RELATIVE_BOUNDARY = "relative boundary"
@@ -163,11 +163,6 @@ def _tangent(avoids: bool, value, s: SphereRef) -> bool:
     return avoids and value == s.radius_squared
 
 
-def face_cuts(pc: PointConfiguration, face, s: SphereRef) -> bool:
-    """Does the face have a point of the closed ball in its relative interior?"""
-    return _cuts(*min_norm_sq_over_face(pc, face, s), s)
-
-
 def face_avoids(pc: PointConfiguration, face, s: SphereRef) -> bool:
     """Is there a hyperplane supporting the face with the whole polytope and
     the ball in one closed halfspace?
@@ -187,8 +182,8 @@ def face_avoids(pc: PointConfiguration, face, s: SphereRef) -> bool:
     """
     face = sorted(face)
     others = [i for i in range(pc.n_points) if i not in face]
-    if len(others) > 2 * DEFAULT_KSET_MAX_POINTS:
-        raise BudgetExceeded("active-set enumeration", len(others), 2 * DEFAULT_KSET_MAX_POINTS)
+    if len(others) > DEFAULT_AVOID_OTHERS_BUDGET:
+        raise BudgetExceeded("active-set enumeration", len(others), DEFAULT_AVOID_OTHERS_BUDGET)
     kernel = _kernel(pc, s)
     free = pc.dimension - affine_rank([kernel.w[i] for i in face])
     best, best_q = None, 1
@@ -200,11 +195,6 @@ def face_avoids(pc: PointConfiguration, face, s: SphereRef) -> bool:
                 best, best_q = mu, q
     r2, r2_den = kernel.r2
     return best is not None and best * r2_den >= r2 * best_q
-
-
-def face_tangent(pc: PointConfiguration, face, s: SphereRef) -> bool:
-    value, _ = min_norm_sq_over_face(pc, face, s)
-    return _tangent(face_avoids(pc, face, s), value, s)
 
 
 # ------------------------------------------------------------------ scribedness
@@ -324,68 +314,3 @@ def generate_cyclic_moment(n: int, d: int, params=None) -> PointConfiguration:
         raise ParseError(f"need {n} parameters, got {len(params)}")
     pts = tuple(tuple(t ** k for k in range(1, d + 1)) for t in params)
     return PointConfiguration(d, pts)
-
-
-# -------------------------------------------------------------------- k-sets
-
-def _separation_lp(pc: PointConfiguration, subset, inside_relation, inside_t):
-    """Maximize t over box-normalized hyperplanes <a, x> = b with
-    <a, p> - b + inside_t * t (inside_relation) 0 on the subset and
-    b - <a, p> >= t off it."""
-    d = pc.dimension
-    inside = sorted(subset)
-    outside = [i for i in range(pc.n_points) if i not in subset]
-    bound = 1 + max(sum(abs(c) for c in p) for p in pc.points)
-    # Vars: a+ (d), a- (d), b+, b-, t; all >= 0; maximize t.
-    nv = 2 * d + 3
-    obj = [Fraction(0)] * nv
-    obj[-1] = Fraction(1)
-    lp = LinearProgram(nv, obj)
-    for i in inside:
-        p = pc.points[i]
-        row = list(p) + [-c for c in p] + [Fraction(-1), Fraction(1), inside_t]
-        lp.add_row(row, inside_relation, Fraction(0))
-    for i in outside:
-        p = pc.points[i]
-        row = [-c for c in p] + list(p) + [Fraction(1), Fraction(-1), Fraction(-1)]
-        lp.add_row(row, GE, Fraction(0))
-    for k in range(2 * d):
-        row = [Fraction(0)] * nv
-        row[k] = Fraction(1)
-        lp.add_row(row, LE, Fraction(1))
-    for k in (2 * d, 2 * d + 1):
-        row = [Fraction(0)] * nv
-        row[k] = Fraction(1)
-        lp.add_row(row, LE, Fraction(bound))
-    return solve_lp(lp)
-
-
-def _separation_margin(pc: PointConfiguration, subset) -> Fraction:
-    """Optimal margin of strict separation of the subset from the rest, with
-    the normal box-normalized; positive iff strictly separable."""
-    res = _separation_lp(pc, subset, GE, Fraction(-1))
-    if res.status != "optimal":  # a = b = t = 0 is feasible and t is bounded
-        raise RuntimeError(f"separation LP ended {res.status}")
-    return res.objective
-
-
-def k_sets(pc: PointConfiguration, k: int) -> list[frozenset[int]]:
-    """All k-subsets strictly separable from the rest by a hyperplane.
-    By convention k = n returns the full set (vacuous separation)."""
-    n = pc.n_points
-    if n > DEFAULT_KSET_MAX_POINTS:
-        raise BudgetExceeded("k-set enumeration", n, DEFAULT_KSET_MAX_POINTS)
-    if k == n:
-        return [frozenset(range(n))]
-    out = []
-    for subset in combinations(range(n), k):
-        if _separation_margin(pc, subset) > 0:
-            out.append(frozenset(subset))
-    return out
-
-
-def is_face(pc: PointConfiguration, subset) -> bool:
-    """Supporting-hyperplane test: the subset is (contained in) a proper face
-    iff some hyperplane touches exactly on one side with positive margin."""
-    res = _separation_lp(pc, subset, EQ, Fraction(0))
-    return res.status == "optimal" and res.objective > 0

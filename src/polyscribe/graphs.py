@@ -6,12 +6,15 @@ Searches use deterministic vertex orders so results are reproducible.
 1-toughness and 1-supertoughness are answered together by one scan of the
 cutsets (`toughness_scan`), which counts the components left by each
 vertex subset once; `is_one_tough` and `is_one_supertough` read their
-answer from it.
+answer from it.  The scan takes a validated map, not a bare graph: in a
+3-connected planar graph every component left by a cutset S sends at
+least 3 edges to S, so a cutset that leaves c >= 2 components has at
+least 3c edges leaving it, and c <= 2|S| - 4.  The scan skips the
+cutsets these bounds rule out, and only those, so it reports the same
+first violators as the unpruned scan.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from .errors import BudgetExceeded
 from .lazy import nx
@@ -148,51 +151,84 @@ def _components_mask(masks, alive: int) -> int:
     return count
 
 
-def toughness_scan(g: nx.Graph):
-    """1-toughness and 1-supertoughness from one scan of the cutsets.
+def toughness_scan(m: CombinatorialMap):
+    """1-toughness and 1-supertoughness of a map's graph from one scan of
+    the cutsets.
 
     Cutsets S are taken by size k, then in lexicographic order, and the
-    components of g - S are counted once for both tests.  1-toughness fails
+    components of G - S are counted once for both tests.  1-toughness fails
     at the first S that leaves more than k components, with
-    k <= (n-1)//2 since components(g-S) <= n-k; 1-supertoughness fails at
+    k <= (n-1)//2 since components(G-S) <= n-k; 1-supertoughness fails at
     the first S with 2 <= k <= n//2 that leaves at least k components.
     The scan stops once both are decided.  Returns (tough, supertough),
     each (True, None) or (False, certificate).  Over the budget of
     DEFAULT_TOUGHNESS_BUDGET vertices, each is instead the BudgetExceeded its
     own test raises (see is_one_tough and is_one_supertough).
+
+    m must be a map that validate_map accepted, or a dual of one: its graph
+    is 3-connected and planar, and the scan skips only the cutsets that
+    this rules out, so each first violator is the unpruned scan's.
+    - Every component C of G - S, when there are c >= 2 of them, has at
+      least 3 neighbours in S, since they separate C from the rest.  So
+      3c <= sigma(S) = sum of deg(v) over S - 2 e(S), the edges from S to
+      G - S.  The scan builds S a vertex at a time and drops a branch once
+      sigma + (slots left) * (largest degree left) < 3 * (the fewest
+      components an open test still needs): k for supertoughness, k + 1
+      for toughness alone.
+    - Contracting each component to a vertex leaves a simple bipartite
+      plane graph on k + c vertices with at least 3c edges, and such a
+      graph has at most 2(k + c) - 4 edges, so c <= 2k - 4.  No S with
+      k <= 4 violates toughness and none with k <= 3 supertoughness.
     """
+    g = m.graph()
     n, budget = g.number_of_nodes(), DEFAULT_TOUGHNESS_BUDGET
     if n > budget:
         return (BudgetExceeded("toughness enumeration", n, budget),
                 BudgetExceeded("supertoughness enumeration", n, budget))
     nodes, masks = _neighbor_masks(g)
-    bits = [1 << i for i in range(n)]
+    deg = [mask.bit_count() for mask in masks]
+    # top[i]: the largest degree among vertices i, ..., n - 1
+    top = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        top[i] = max(deg[i], top[i + 1])
     full = (1 << n) - 1
     last_tough = (n - 1) // 2
     tough = supertough = None
 
-    def violation(kind, name, subset, comps):
-        cut = [nodes[b.bit_length() - 1] for b in subset]
+    def violation(kind, name, chosen, comps):
+        cut = [nodes[i] for i in range(n) if chosen >> i & 1]
         return False, Certificate(
             kind, {"cutset": cut, "components": comps},
             f"removing {len(cut)} vertices leaves {comps} components: not {name}")
 
-    for k in range(1, n // 2 + 1):
-        check_tough = tough is None and k <= last_tough
-        check_super = supertough is None and k >= 2
-        if not (check_tough or check_super):
-            continue
-        for subset in combinations(bits, k):
-            comps = _components_mask(masks, full ^ sum(subset))
+    def extend(k, start, chosen, sigma, left):
+        """Each completion of the cutset chosen, from vertices start on with
+        left slots to fill, in lexicographic order."""
+        nonlocal tough, supertough, check_tough, check_super
+        for i in range(start, n - left + 1):
+            if not (check_tough or check_super):
+                return
+            s = sigma + deg[i] - 2 * (masks[i] & chosen).bit_count()
+            if s + (left - 1) * top[i + 1] < 3 * (k if check_super else k + 1):
+                continue
+            cut = chosen | 1 << i
+            if left > 1:
+                extend(k, i + 1, cut, s, left - 1)
+                continue
+            comps = _components_mask(masks, full ^ cut)
             if check_tough and comps > k:
-                tough = violation(CertKind.TOUGHNESS_VIOLATION, "1-tough", subset, comps)
+                tough = violation(CertKind.TOUGHNESS_VIOLATION, "1-tough", cut, comps)
                 check_tough = False
             if check_super and comps >= k:
                 supertough = violation(CertKind.SUPERTOUGH_VIOLATION, "1-supertough",
-                                       subset, comps)
+                                       cut, comps)
                 check_super = False
-            if not (check_tough or check_super):
-                break
+
+    # c <= 2k - 4: toughness can fail from k = 5 on, supertoughness from 4
+    for k in range(4, n // 2 + 1):
+        check_tough = tough is None and 5 <= k <= last_tough
+        check_super = supertough is None
+        extend(k, 0, 0, 0, k)
     return tough or (True, None), supertough or (True, None)
 
 
@@ -202,16 +238,16 @@ def _answer(result):
     return result
 
 
-def is_one_tough(g: nx.Graph):
+def is_one_tough(m: CombinatorialMap):
     """True, or (False, ToughnessViolation certificate) with a cutset S such
-    that g - S has more than |S| components.  Exhaustive over subsets."""
-    return _answer(toughness_scan(g)[0])
+    that G - S has more than |S| components, for the graph G of the map m."""
+    return _answer(toughness_scan(m)[0])
 
 
-def is_one_supertough(g: nx.Graph):
+def is_one_supertough(m: CombinatorialMap):
     """True, or (False, SupertoughViolation) with S, |S| = k >= 2, such that
-    g - S has at least k components."""
-    return _answer(toughness_scan(g)[1])
+    G - S has at least k components, for the graph G of the map m."""
+    return _answer(toughness_scan(m)[1])
 
 
 # ---------------------------------------------------------------- connectivity
@@ -297,7 +333,7 @@ def hamiltonian_certificate(cycle) -> Certificate:
 def simple_polytope_characterization(m: CombinatorialMap, supertough) -> Verdict | None:
     """Exact inscribability for simple 3-polytopes (all degrees 3): the graph
     must be bipartite with a 4-connected dual, or 1-supertough.  Returns None
-    when the map is not simple.  supertough is toughness_scan(m.graph())[1];
+    when the map is not simple.  supertough is toughness_scan(m)[1];
     it is read only when the first test fails, and a BudgetExceeded there is
     raised."""
     g = m.graph()

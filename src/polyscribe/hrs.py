@@ -258,21 +258,24 @@ def verify_angle_assignment(m: CombinatorialMap, weights: dict,
     """Re-check a YES certificate: weights strictly in (0,1), facial sums
     exactly 2, every non-facial simple circuit strictly above 2.
 
-    Without a circuit list the last check runs in polynomial time: the
-    separation oracle's minimum non-facial circuit weight must exceed 2.
+    The sums run on integers: the weights are scaled by their common
+    denominator D, and each sum is compared with 2D.  Without a circuit
+    list the last check runs in polynomial time: the separation oracle's
+    minimum non-facial circuit weight must exceed 2.
     """
     if weights.keys() != m.edge_faces.keys():
         return False
     if any(not 0 < x < 1 for x in weights.values()):
         return False
-    for fe in m.face_edges:
-        if sum((weights[e] for e in fe), Fraction(0)) != 2:
-            return False
+    *nums, den = scaled(weights.values())
+    iw = dict(zip(weights, nums))
+    two = 2 * den
+    if any(sum(iw[e] for e in fe) != two for fe in m.face_edges):
+        return False
     if circuits is None:
         found = _min_nonfacial_circuit(m, weights)
         return found is None or found[1] > 2
-    return all(c.facial or sum((weights[e] for e in c.edges), Fraction(0)) > 2
-               for c in circuits)
+    return all(c.facial or sum(iw[e] for e in c.edges) > two for c in circuits)
 
 
 def dual_witness_certificate(outcome: MarginOutcome) -> Certificate:

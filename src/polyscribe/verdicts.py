@@ -55,13 +55,24 @@ def _count_components(g: nx.Graph, removed) -> int:
     return nx.number_connected_components(h) if h.number_of_nodes() else 0
 
 
+def _vertex_set(g: nx.Graph, vertices) -> set | None:
+    """The vertices as a set, or None when they name a vertex g does not
+    have or name one twice."""
+    s = set(vertices)
+    if len(s) != len(vertices) or not all(g.has_node(v) for v in s):
+        return None
+    return s
+
+
 def recheck_certificate(cert: Certificate, g: nx.Graph) -> bool:
-    """Re-validate a graph certificate from its data alone."""
+    """Re-validate a graph certificate from its data alone.  A cutset,
+    independent set or bipartite class that names a vertex outside g, or
+    one vertex twice, fails."""
     k, d = cert.kind, cert.data
     if k in (CertKind.INDEPENDENT_SET_OBSTRUCTION, CertKind.PAINT_OBSTRUCTION):
-        s = set(d["independent_set"])
+        s = _vertex_set(g, d["independent_set"])
         n = d["n_vertices"]
-        if g.number_of_nodes() != n:
+        if s is None or g.number_of_nodes() != n:
             return False
         if any(g.has_edge(u, v) for u in s for v in s if u < v):
             return False
@@ -72,7 +83,9 @@ def recheck_certificate(cert: Certificate, g: nx.Graph) -> bool:
             return any(g.has_edge(u, v) for u in rest for v in rest if u < v)
         return False
     if k in (CertKind.TOUGHNESS_VIOLATION, CertKind.SUPERTOUGH_VIOLATION):
-        s = set(d["cutset"])
+        s = _vertex_set(g, d["cutset"])
+        if s is None:
+            return False
         comps = _count_components(g, s)
         if comps != d["components"]:
             return False
@@ -80,8 +93,8 @@ def recheck_certificate(cert: Certificate, g: nx.Graph) -> bool:
             return comps > len(s)
         return len(s) >= 2 and comps >= len(s)
     if k is CertKind.BIPARTITE_CLASSES:
-        a, b = set(d["class_a"]), set(d["class_b"])
-        if a | b != set(g.nodes) or a & b:
+        a, b = _vertex_set(g, d["class_a"]), _vertex_set(g, d["class_b"])
+        if a is None or b is None or a | b != set(g.nodes) or a & b:
             return False
         return all((u in a) != (v in a) for u, v in g.edges)
     if k is CertKind.HAMILTONIAN_CYCLE:
@@ -92,6 +105,7 @@ def recheck_certificate(cert: Certificate, g: nx.Graph) -> bool:
     if k is CertKind.CONNECTIVITY_WITNESS:
         if d.get("cutset") is None:  # complete graph: no cutset exists
             return d["connectivity"] == g.number_of_nodes() - 1
-        s = set(d["cutset"])
-        return len(s) == d["connectivity"] and _count_components(g, s) > 1
+        s = _vertex_set(g, d["cutset"])
+        return (s is not None and len(s) == d["connectivity"]
+                and _count_components(g, s) > 1)
     raise ValueError(f"no graph recheck for certificate kind {k}")

@@ -15,6 +15,7 @@ from polyscribe.hull import build_face_lattice, enumerate_facets
 from polyscribe.maps import dual_map
 from polyscribe.points import PointConfiguration, SphereRef
 from polyscribe.verdicts import Answer, CertKind
+from test_geometry import is_face, k_sets
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +89,7 @@ def test_criterion_03_soundness_no_false_obstructions():
         g = m.graph()
         if _insc(name).answer is Answer.YES:
             assert independent_set_obstruction(g) is None, name
-            assert is_one_tough(g)[0], name
+            assert is_one_tough(m)[0], name
         # the facet-painting test obstructs tangency of all facets, i.e.
         # circumscribability of m (equivalently inscribability of its dual)
         if _circ(name).answer is Answer.YES:
@@ -111,7 +112,7 @@ def test_criterion_05_simple_characterization_agrees():
     hit = 0
     for name in CORPUS_NAMES:
         m = named_polytope(name)
-        v = simple_polytope_characterization(m, toughness_scan(m.graph())[1])
+        v = simple_polytope_characterization(m, toughness_scan(m)[1])
         if v is None:
             continue
         hit += 1
@@ -148,14 +149,14 @@ def test_criterion_07_inscribed_cyclic_construction():
         oracle = {frozenset(s) for s in combinations(range(n), 4)
                   if _gale_even(n, s)}
         assert facets == oracle
-        assert all(geometry.is_face(pc, pair)
+        assert all(is_face(pc, pair)
                    for pair in combinations(range(n), 2))
 
 
 def test_criterion_08_five_sets_contain_facets():
     pc = geometry.generate_cyclic_trig(8, 4)
     facets = {frozenset(f) for f in enumerate_facets(pc)}
-    fives = geometry.k_sets(pc, 5)
+    fives = k_sets(pc, 5)
     assert fives    # exhaustive enumeration over all C(8,5) subsets
     for s in fives:
         assert any(f <= s for f in facets), sorted(s)

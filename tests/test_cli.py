@@ -158,9 +158,9 @@ def test_analyze_decides_supertoughness_once(mapfile, capsys, monkeypatch):
     calls = []
     scan = graphs.toughness_scan
 
-    def counted(g):
-        calls.append(g)
-        return scan(g)
+    def counted(m):
+        calls.append(m)
+        return scan(m)
     monkeypatch.setattr(graphs, "toughness_scan", counted)
     rc, out = run(capsys, "analyze", mapfile("truncated-tetrahedron"), "--json")
     assert rc == 0 and len(calls) == 1

@@ -1,6 +1,6 @@
 import pytest
 
-from polyscribe.corpus import CORPUS_NAMES, full_corpus, named_polytope
+from polyscribe.corpus import CORPUS_NAMES, named_polytope
 
 # (vertices, edges, faces) frozen from the defining constructions
 SIZES = {
@@ -21,6 +21,11 @@ SIZES = {
     "prism-3": (6, 9, 5),
     "prism-8": (16, 24, 10),
 }
+
+
+def full_corpus():
+    """Every corpus map, built by name."""
+    return [named_polytope(n) for n in CORPUS_NAMES]
 
 
 def test_corpus_size():

@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyscribe import geometry
+from polyscribe import geometry, simplex
 from polyscribe.errors import ParseError
 from polyscribe.geometry import (RELATIVE_BOUNDARY, RELATIVE_INTERIOR, _kernel,
                                  check_ij_scribed, check_k_scribed, face_avoids,
-                                 face_cuts, face_tangent, generate_cyclic_moment,
-                                 generate_cyclic_trig, is_face, k_sets,
+                                 generate_cyclic_moment, generate_cyclic_trig,
                                  min_norm_sq_over_face, on_sphere_check,
                                  verify_face_lattice)
-from polyscribe.errors import DegenerateSpan
+from polyscribe.errors import BudgetExceeded, DegenerateSpan
 from polyscribe.hull import build_face_lattice, enumerate_facets
 from polyscribe.linalg import affine_rank, dot, norm_sq, solve_linear, vsub
 from polyscribe.points import PointConfiguration, SphereRef
-from polyscribe.simplex import EQ, GE, LinearProgram, solve_lp
+from polyscribe.simplex import EQ, GE, LE, LinearProgram, solve_lp
 
 
 def gale_even(n, subset):
@@ -27,6 +26,21 @@ def gale_even(n, subset):
     out = [i for i in range(n) if i not in subset]
     return all(sum(1 for x in subset if a < x < b) % 2 == 0
                for a, b in combinations(out, 2))
+
+
+def face_cuts(pc, face, s):
+    """Reference: does the face have a point of the closed ball in its
+    relative interior?  Its minimum norm is below the radius, or equal with
+    a relative-interior minimizer."""
+    value, location = min_norm_sq_over_face(pc, face, s)
+    return value < s.radius_squared or (value == s.radius_squared
+                                        and location == RELATIVE_INTERIOR)
+
+
+def face_tangent(pc, face, s):
+    """Reference: the face avoids the ball and touches the sphere."""
+    value, _ = min_norm_sq_over_face(pc, face, s)
+    return face_avoids(pc, face, s) and value == s.radius_squared
 
 
 def test_on_sphere(tetra_points):
@@ -346,7 +360,9 @@ def test_scribe_queries_solve_no_lp(monkeypatch, cube_points):
     # off-centre sphere puts some minimizers on face boundaries
     def no_lp(lp):
         raise AssertionError("a face test solved an LP")
-    monkeypatch.setattr(geometry, "solve_lp", no_lp)
+    # geometry binds no LP solver; any other route goes through simplex
+    assert not hasattr(geometry, "solve_lp")
+    monkeypatch.setattr(simplex, "solve_lp", no_lp)
     off_centre = PointConfiguration(3, cube_points.points,
                                     SphereRef((F(5), F(1, 2), F(1, 7)), F(3, 2)))
     for pc in (cube_points, off_centre, generate_cyclic_trig(7, 4)):
@@ -431,6 +447,73 @@ def test_cyclic_moment_combinatorics_match():
 def test_cyclic_moment_square():
     facets = enumerate_facets(generate_cyclic_moment(4, 2))
     assert len(facets) == 4  # convex quadrilateral
+
+
+# ------------------------------------------------- reference k-sets and faces
+
+KSET_MAX_POINTS = 12
+
+
+def _separation_lp(pc, subset, inside_relation, inside_t):
+    """Maximize t over box-normalized hyperplanes <a, x> = b with
+    <a, p> - b + inside_t * t (inside_relation) 0 on the subset and
+    b - <a, p> >= t off it."""
+    d = pc.dimension
+    inside = sorted(subset)
+    outside = [i for i in range(pc.n_points) if i not in subset]
+    bound = 1 + max(sum(abs(c) for c in p) for p in pc.points)
+    # Vars: a+ (d), a- (d), b+, b-, t; all >= 0; maximize t.
+    nv = 2 * d + 3
+    obj = [F(0)] * nv
+    obj[-1] = F(1)
+    lp = LinearProgram(nv, obj)
+    for i in inside:
+        p = pc.points[i]
+        row = list(p) + [-c for c in p] + [F(-1), F(1), inside_t]
+        lp.add_row(row, inside_relation, F(0))
+    for i in outside:
+        p = pc.points[i]
+        row = [-c for c in p] + list(p) + [F(1), F(-1), F(-1)]
+        lp.add_row(row, GE, F(0))
+    for k in range(2 * d):
+        row = [F(0)] * nv
+        row[k] = F(1)
+        lp.add_row(row, LE, F(1))
+    for k in (2 * d, 2 * d + 1):
+        row = [F(0)] * nv
+        row[k] = F(1)
+        lp.add_row(row, LE, F(bound))
+    return solve_lp(lp)
+
+
+def _separation_margin(pc, subset):
+    """Optimal margin of strict separation of the subset from the rest, with
+    the normal box-normalized; positive iff strictly separable."""
+    res = _separation_lp(pc, subset, GE, F(-1))
+    if res.status != "optimal":  # a = b = t = 0 is feasible and t is bounded
+        raise RuntimeError(f"separation LP ended {res.status}")
+    return res.objective
+
+
+def k_sets(pc, k):
+    """Reference: all k-subsets strictly separable from the rest by a
+    hyperplane.  By convention k = n returns the full set (vacuous
+    separation)."""
+    n = pc.n_points
+    if n > KSET_MAX_POINTS:
+        raise BudgetExceeded("k-set enumeration", n, KSET_MAX_POINTS)
+    if k == n:
+        return [frozenset(range(n))]
+    return [frozenset(subset) for subset in combinations(range(n), k)
+            if _separation_margin(pc, subset) > 0]
+
+
+def is_face(pc, subset):
+    """Reference supporting-hyperplane test: the subset is (contained in) a
+    proper face iff some hyperplane touches exactly on one side with
+    positive margin."""
+    res = _separation_lp(pc, subset, EQ, F(0))
+    return res.status == "optimal" and res.objective > 0
 
 
 def test_two_neighborly():

@@ -1,22 +1,24 @@
 import random
 from itertools import combinations
+from math import comb
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from polyscribe import graphs
-from polyscribe.corpus import CORPUS_NAMES, named_polytope, prism
-from polyscribe.errors import BudgetExceeded
-from polyscribe.graphs import (_components_mask, _neighbor_masks,
-                               hamiltonian_cycle, independent_set_obstruction,
+from polyscribe.corpus import CORPUS_NAMES, named_polytope, prism, stack_on_face
+from polyscribe.errors import BudgetExceeded, PolyscribeError
+from polyscribe.graphs import (hamiltonian_cycle, independent_set_obstruction,
                                is_one_supertough, is_one_tough,
                                max_independent_set,
                                simple_polytope_characterization,
                                steinitz_paint_test, toughness_scan,
                                vertex_connectivity)
-from polyscribe.maps import dual_map
+from polyscribe.maps import dual_map, validate_map
 from polyscribe.verdicts import (Answer, CertKind, Certificate,
                                  recheck_certificate)
+from test_maps import _plane_map
 
 
 def _brute_alpha(g):
@@ -76,23 +78,25 @@ def test_paint_test_dodecahedron_clean():
 
 def test_triakis_octahedron_not_tough():
     # removing the 6 original octahedron vertices leaves the 8 apexes isolated
-    g = named_polytope("triakis-octahedron").graph()
-    ok, cert = is_one_tough(g)
+    m = named_polytope("triakis-octahedron")
+    g = m.graph()
+    ok, cert = is_one_tough(m)
     assert not ok
     assert cert.data["components"] > len(cert.data["cutset"])
     assert recheck_certificate(cert, g)
 
 
 def test_cube_tough_but_not_supertough():
-    g = named_polytope("cube").graph()
-    assert is_one_tough(g)[0]
-    ok, cert = is_one_supertough(g)
+    m = named_polytope("cube")
+    g = m.graph()
+    assert is_one_tough(m)[0]
+    ok, cert = is_one_supertough(m)
     assert not ok and cert.data["components"] >= len(cert.data["cutset"]) == 4
     assert recheck_certificate(cert, g)
 
 
 def test_tetrahedron_supertough():
-    assert is_one_supertough(named_polytope("tetrahedron").graph())[0]
+    assert is_one_supertough(named_polytope("tetrahedron"))[0]
 
 
 def test_connectivity():
@@ -119,6 +123,61 @@ def test_connectivity_is_the_cut_size():
         assert recheck_certificate(cert, g)
 
 
+# ------------------------------------------- certificates naming bad vertices
+
+def _recheck(kind, g, **data):
+    return recheck_certificate(Certificate(kind, data, ""), g)
+
+
+@pytest.mark.parametrize("kind", [CertKind.INDEPENDENT_SET_OBSTRUCTION,
+                                  CertKind.PAINT_OBSTRUCTION])
+def test_recheck_rejects_independent_set_outside_the_graph(kind):
+    # K4 is inscribable; two absent vertices made the set more than half
+    k4 = named_polytope("tetrahedron").graph()
+    assert not _recheck(kind, k4, independent_set=[0, 98, 99], n_vertices=4)
+    # a real obstruction of the triakis tetrahedron, with a vertex repeated
+    g = named_polytope("triakis-tetrahedron").graph()
+    cert = independent_set_obstruction(g)
+    assert _recheck(kind, g, **cert.data)
+    repeated = cert.data["independent_set"] + cert.data["independent_set"][:1]
+    assert not _recheck(kind, g, independent_set=repeated, n_vertices=8)
+
+
+def test_recheck_rejects_toughness_cutset_outside_the_graph():
+    star = nx.star_graph(3)
+    assert _recheck(CertKind.TOUGHNESS_VIOLATION, star, cutset=[0], components=3)
+    assert not _recheck(CertKind.TOUGHNESS_VIOLATION, star, cutset=[0, 99], components=3)
+    assert not _recheck(CertKind.TOUGHNESS_VIOLATION, star, cutset=[0, 0], components=3)
+
+
+def test_recheck_rejects_supertoughness_cutset_outside_the_graph():
+    # the path 0-1-2 is 1-supertough; an absent vertex made the cutset size 2
+    path = nx.path_graph(3)
+    assert not _recheck(CertKind.SUPERTOUGH_VIOLATION, path, cutset=[1, 99], components=2)
+    assert not _recheck(CertKind.SUPERTOUGH_VIOLATION, path, cutset=[1, 1], components=2)
+    longer = nx.path_graph(5)
+    assert _recheck(CertKind.SUPERTOUGH_VIOLATION, longer, cutset=[1, 3], components=3)
+
+
+def test_recheck_rejects_bipartite_class_naming_a_vertex_twice():
+    hexagon = nx.cycle_graph(6)
+    assert _recheck(CertKind.BIPARTITE_CLASSES, hexagon, class_a=[0, 2, 4], class_b=[1, 3, 5])
+    assert not _recheck(CertKind.BIPARTITE_CLASSES, hexagon,
+                        class_a=[0, 2, 4, 0], class_b=[1, 3, 5])
+    assert not _recheck(CertKind.BIPARTITE_CLASSES, hexagon,
+                        class_a=[0, 2, 4, 99], class_b=[1, 3, 5])
+
+
+def test_recheck_rejects_connectivity_cutset_outside_the_graph():
+    # a 6-cycle is 2-connected; an absent vertex made its cut look like 3
+    hexagon = nx.cycle_graph(6)
+    assert _recheck(CertKind.CONNECTIVITY_WITNESS, hexagon, connectivity=2, cutset=[0, 3])
+    assert not _recheck(CertKind.CONNECTIVITY_WITNESS, hexagon,
+                        connectivity=3, cutset=[0, 3, 99])
+    assert not _recheck(CertKind.CONNECTIVITY_WITNESS, hexagon,
+                        connectivity=3, cutset=[0, 3, 3])
+
+
 def test_hamiltonian_cube():
     g = named_polytope("cube").graph()
     cyc = hamiltonian_cycle(g)
@@ -139,7 +198,7 @@ def test_rhombic_dodecahedron_not_hamiltonian():
 
 def _characterize(name):
     m = named_polytope(name)
-    return simple_polytope_characterization(m, toughness_scan(m.graph())[1])
+    return simple_polytope_characterization(m, toughness_scan(m)[1])
 
 
 def test_simple_characterization():
@@ -155,27 +214,68 @@ def test_simple_characterization():
 
 # ------------------------------------------------- reference toughness
 
+def _component_counter(g):
+    """The number of components of g - S for each bit set S over
+    sorted(g.nodes) in an int64 array, apart from the library's count: all
+    sets at once, each component grown from its least vertex by closing
+    under neighbour tables, one per byte of the set."""
+    nodes = sorted(g.nodes)
+    n = len(nodes)
+    if n > 24:
+        raise ValueError("three byte tables cover at most 24 vertices")
+    idx = {v: i for i, v in enumerate(nodes)}
+    masks = [0] * 24
+    for u, v in g.edges:
+        masks[idx[u]] |= 1 << idx[v]
+        masks[idx[v]] |= 1 << idx[u]
+    tables = [[0] * 256 for _ in range(3)]
+    for t, table in enumerate(tables):
+        for byte in range(1, 256):
+            low = byte & -byte
+            table[byte] = table[byte ^ low] | masks[8 * t + low.bit_length() - 1]
+    t0, t1, t2 = np.array(tables, dtype=np.int64)
+    full = (1 << n) - 1
+
+    def count(removed):
+        alive = full & ~removed
+        counts = np.zeros(len(removed), dtype=np.int64)
+        while alive.any():
+            counts += alive != 0
+            comp = alive & -alive
+            while True:
+                grown = (comp | t0[comp & 255] | t1[comp >> 8 & 255]
+                         | t2[comp >> 16]) & alive
+                if np.array_equal(grown, comp):
+                    break
+                comp = grown
+            alive &= ~comp
+        return counts
+    return count
+
+
 def _cutset_scan(g, budget, what, ks, at_least, kind, name):
     """The separate scan each toughness test ran before they shared one:
-    cutsets S by size k in ks for one that leaves more than k components
-    (at least k when at_least); (True, None) if there is none."""
+    every cutset S by size k in ks, then in lexicographic order, for one
+    that leaves more than k components (at least k when at_least);
+    (True, None) if there is none."""
     n = g.number_of_nodes()
     if n > budget:
         raise BudgetExceeded(what, n, budget)
-    nodes, masks = _neighbor_masks(g)
-    full = (1 << n) - 1
+    nodes = sorted(g.nodes)
+    count = _component_counter(g)
+    bits = [1 << i for i in range(n)]
     for k in ks:
-        for subset in combinations(range(n), k):
-            rm = 0
-            for i in subset:
-                rm |= 1 << i
-            comps = _components_mask(masks, full & ~rm)
-            if comps >= (k if at_least else k + 1):
-                cut = [nodes[i] for i in subset]
-                return False, Certificate(
-                    kind, {"cutset": cut, "components": comps},
-                    f"removing {k} vertices leaves {comps} components: not {name}",
-                )
+        subsets = np.fromiter(map(sum, combinations(bits, k)), dtype=np.int64,
+                              count=comb(n, k))
+        counts = count(subsets)
+        hits = np.flatnonzero(counts >= (k if at_least else k + 1))
+        if hits.size:
+            cut = [nodes[i] for i in range(n) if int(subsets[hits[0]]) >> i & 1]
+            comps = int(counts[hits[0]])
+            return False, Certificate(
+                kind, {"cutset": cut, "components": comps},
+                f"removing {k} vertices leaves {comps} components: not {name}",
+            )
     return True, None
 
 
@@ -193,45 +293,68 @@ def _ref_tests(g, budget):
     return out
 
 
-def _projected(fn, g):
+def _projected(fn, m):
     try:
-        return fn(g)
+        return fn(m)
     except BudgetExceeded as exc:
         return str(exc)
 
 
-def _assert_scan_matches_reference(g):
-    ref = _ref_tests(g, graphs.DEFAULT_TOUGHNESS_BUDGET)
+def _assert_scan_matches_reference(m):
+    """The pruned scan and both projections against the unpruned reference:
+    (tough, supertough), each cutset, component count and conclusion."""
+    ref = _ref_tests(m.graph(), graphs.DEFAULT_TOUGHNESS_BUDGET)
     scan = [str(r) if isinstance(r, BudgetExceeded) else r
-            for r in toughness_scan(g)]
-    assert scan == ref
-    assert [_projected(is_one_tough, g), _projected(is_one_supertough, g)] == ref
+            for r in toughness_scan(m)]
+    assert scan == ref, m.faces
+    assert [_projected(is_one_tough, m), _projected(is_one_supertough, m)] == ref
     return ref
 
 
-def test_toughness_scan_matches_reference_on_random_graphs():
-    verdicts = set()
-    for seed in range(120):
-        rng = random.Random(seed)
-        n = rng.randint(1, 12)
-        g = nx.gnp_random_graph(n, rng.uniform(0.1, 0.7), seed=seed)
-        if seed % 3 == 0 and n > 2:
-            # a pendant path through a cut vertex
-            g.add_edges_from([(0, n), (n, n + 1)])
-        ref = _assert_scan_matches_reference(g)
-        verdicts.add((ref[0][0], ref[1][0]))
-    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+def _verdicts(refs):
+    return {tuple(r if isinstance(r, str) else r[0] for r in ref) for ref in refs}
 
 
-def test_toughness_scan_matches_reference_on_corpus(monkeypatch):
-    monkeypatch.setattr(graphs, "DEFAULT_TOUGHNESS_BUDGET", 16)
-    for name in CORPUS_NAMES:
-        g = named_polytope(name).graph()
-        _assert_scan_matches_reference(g)
+def test_toughness_scan_matches_reference_on_random_maps():
+    # every 3-connected map the random plane maps of test_maps yield; their
+    # graphs have at most 12 vertices
+    refs = []
+    for seed in range(700):
+        raw = _plane_map(seed)
+        if raw is None:
+            continue
+        try:
+            m = validate_map(raw)
+        except PolyscribeError:
+            continue
+        refs.append(_assert_scan_matches_reference(m))
+    assert len(refs) > 150
+    # no toughness violator: that needs a cutset of at least 5 vertices
+    # leaving 6 components, so 11 vertices and more structure than these
+    # maps have; the corpus has some
+    assert _verdicts(refs) == {(True, True), (True, False)}
+
+
+def _reference_maps():
+    """The corpus, prisms 9 and 10 (prisms 3-8 are in the corpus) and all
+    their duals: every graph has at most 20 vertices but the dual of the
+    triakis octahedron, with 24, which both scans refuse."""
+    ms = [named_polytope(name) for name in CORPUS_NAMES] + [prism(9), prism(10)]
+    return ms + [dual_map(m) for m in ms]
+
+
+def test_toughness_scan_matches_reference_on_corpus_and_prisms(monkeypatch):
+    monkeypatch.setattr(graphs, "DEFAULT_TOUGHNESS_BUDGET", 20)
+    assert [named_polytope(f"prism-{k}").faces for k in range(3, 9)] == [
+        prism(k).faces for k in range(3, 9)]
+    refs = [_assert_scan_matches_reference(m) for m in _reference_maps()]
+    assert _verdicts(refs) == {(True, True), (True, False), (False, False),
+                               ("toughness enumeration: needs 24, budget 20",
+                                "supertoughness enumeration: needs 24, budget 20")}
 
 
 def test_toughness_scan_over_budget():
-    g = nx.cycle_graph(23)
-    ref = _assert_scan_matches_reference(g)
+    m = stack_on_face(prism(11), 0)
+    ref = _assert_scan_matches_reference(m)
     assert ref == ["toughness enumeration: needs 23, budget 22",
                    "supertoughness enumeration: needs 23, budget 22"]

@@ -320,3 +320,88 @@ def test_oracle_matches_reference(name, monkeypatch):
     ]
     for w in weights:
         assert _min_nonfacial_circuit(m, w) == ref_min_nonfacial_circuit(m, w)
+
+
+# ------------------------------------------- reference certificate check
+
+def ref_verify_angle_assignment(m, weights, circuits=None):
+    """verify_angle_assignment with its sums on Fractions."""
+    if weights.keys() != m.edge_faces.keys():
+        return False
+    if any(not 0 < x < 1 for x in weights.values()):
+        return False
+    for fe in m.face_edges:
+        if sum((weights[e] for e in fe), F(0)) != 2:
+            return False
+    if circuits is None:
+        found = _min_nonfacial_circuit(m, weights)
+        return found is None or found[1] > 2
+    return all(c.facial or sum((weights[e] for e in c.edges), F(0)) > 2
+               for c in circuits)
+
+
+BIG = F(1, 2 ** 64 + 13)
+
+
+def _ring_weights(m, a):
+    """Weights on stacked-tetrahedron-1, a triangle ring with an apex on
+    each side: a[i] on each apex edge at ring vertex i, and 2 - a[i] - a[j]
+    on ring edge ij, so every face sums to 2 and the ring, a non-facial
+    circuit, sums to 6 - 2 * sum(a)."""
+    return {e: a[e[1]] if e[0] not in a else a[e[0]] if e[1] not in a
+            else 2 - a[e[0]] - a[e[1]] for e in m.edge_faces}
+
+
+def _assert_same_as_fraction_reference(m, w, circuits):
+    got = verify_angle_assignment(m, w, circuits)
+    assert got == ref_verify_angle_assignment(m, w, circuits)
+    assert verify_angle_assignment(m, w) == ref_verify_angle_assignment(m, w)
+    return got
+
+
+def test_ring_of_weight_exactly_two_fails():
+    m = named_polytope("stacked-tetrahedron-1")
+    circuits = enumerate_simple_circuits(m)
+    ring = [v for v, d in m.graph().degree if d == 4]
+    assert len(ring) == 3
+    third = F(2, 3)
+    for a, ok in (((third + BIG, third - BIG, third), False),    # ring: 2
+                  ((third + BIG, third - BIG, third + BIG), False),
+                  ((third - BIG, third - BIG, third), True)):
+        w = _ring_weights(m, dict(zip(ring, a)))
+        assert scaled(w.values())[-1] > 2 ** 64
+        assert all(sum(w[e] for e in fe) == 2 for fe in m.face_edges)
+        assert _enumerated_min(circuits, w) == 6 - 2 * sum(a)
+        assert _assert_same_as_fraction_reference(m, w, circuits) is ok
+
+
+def test_integer_sums_match_fraction_reference():
+    """The certificate weights and the faces-and-box optimum of several
+    maps, their mixes with a common denominator beyond 2^64, and mutations
+    of each: one weight moved off its face sums, one moved to 0, and one
+    edge dropped."""
+    outcomes, mixed = set(), 0
+    for name in ("cube", "dodecahedron", "triakis-tetrahedron",
+                 "truncated-tetrahedron", "prism-5", "stacked-tetrahedron-1",
+                 "stacked-tetrahedron-2", "stacked-tetrahedron-3"):
+        m = named_polytope(name)
+        circuits = enumerate_simple_circuits(m)
+        full = solve_max_margin(m, circuits).weights
+        boxed = solve_max_margin(m, []).weights
+        bases = [full, boxed] + [{e: a[e] + BIG * (b[e] - a[e]) for e in a}
+                                 for a, b in ((full, boxed), (boxed, full))]
+        if full != boxed:
+            assert scaled(bases[2].values())[-1] > 2 ** 64
+            mixed += 1
+        for w in bases:
+            e = min(w)
+            for mutated in (w, {**w, e: w[e] + BIG}, {**w, e: F(0)},
+                            {x: w[x] for x in w if x != e}):
+                outcomes.add(_assert_same_as_fraction_reference(m, mutated, circuits))
+            # only the circuit check decides: every face sums to 2 and
+            # every weight lies in (0, 1)
+            if all(0 < x < 1 for x in w.values()):
+                outcomes.add(("circuits", _assert_same_as_fraction_reference(
+                    m, w, circuits)))
+    assert mixed >= 3
+    assert outcomes == {True, False, ("circuits", True), ("circuits", False)}
