@@ -13,7 +13,7 @@ from polyscribe.geometry import (RELATIVE_BOUNDARY, RELATIVE_INTERIOR, _kernel,
                                  generate_cyclic_moment, generate_cyclic_trig,
                                  min_norm_sq_over_face, on_sphere_check,
                                  verify_face_lattice)
-from polyscribe.errors import BudgetExceeded, DegenerateSpan
+from polyscribe.errors import DegenerateSpan
 from polyscribe.hull import build_face_lattice, enumerate_facets
 from polyscribe.linalg import affine_rank, dot, norm_sq, solve_linear, vsub
 from polyscribe.points import PointConfiguration, SphereRef
@@ -451,9 +451,6 @@ def test_cyclic_moment_square():
 
 # ------------------------------------------------- reference k-sets and faces
 
-KSET_MAX_POINTS = 12
-
-
 def _separation_lp(pc, subset, inside_relation, inside_t):
     """Maximize t over box-normalized hyperplanes <a, x> = b with
     <a, p> - b + inside_t * t (inside_relation) 0 on the subset and
@@ -500,8 +497,6 @@ def k_sets(pc, k):
     hyperplane.  By convention k = n returns the full set (vacuous
     separation)."""
     n = pc.n_points
-    if n > KSET_MAX_POINTS:
-        raise BudgetExceeded("k-set enumeration", n, KSET_MAX_POINTS)
     if k == n:
         return [frozenset(range(n))]
     return [frozenset(subset) for subset in combinations(range(n), k)

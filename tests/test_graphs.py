@@ -1,4 +1,3 @@
-import random
 from itertools import combinations
 from math import comb
 
@@ -7,7 +6,8 @@ import numpy as np
 import pytest
 
 from polyscribe import graphs
-from polyscribe.corpus import CORPUS_NAMES, named_polytope, prism, stack_on_face
+from polyscribe.corpus import (CORPUS_NAMES, kleetope, named_polytope, prism,
+                              stack_on_face)
 from polyscribe.errors import BudgetExceeded, PolyscribeError
 from polyscribe.graphs import (hamiltonian_cycle, independent_set_obstruction,
                                is_one_supertough, is_one_tough,
@@ -351,6 +351,18 @@ def test_toughness_scan_matches_reference_on_corpus_and_prisms(monkeypatch):
     assert _verdicts(refs) == {(True, True), (True, False), (False, False),
                                ("toughness enumeration: needs 24, budget 20",
                                 "supertoughness enumeration: needs 24, budget 20")}
+
+
+def test_toughness_scan_finds_violators_at_the_planar_bound():
+    # a kleetope loses toughness at its original vertices, which leave one
+    # apex per face; over the triangular bipyramid (stacked-tetrahedron-1)
+    # that is 5 vertices leaving 6 components, the least cutset with
+    # c <= 2k - 4 that violates
+    ms = [kleetope(named_polytope(f"stacked-tetrahedron-{d}")) for d in (1, 2, 3)]
+    refs = [_assert_scan_matches_reference(m) for m in ms]
+    ok, cert = refs[0][0]
+    assert not ok and (len(cert.data["cutset"]), cert.data["components"]) == (5, 6)
+    assert _verdicts(refs) == {(False, False)}
 
 
 def test_toughness_scan_over_budget():
