@@ -470,33 +470,31 @@ def ply_depth(cs: CapSystem):
         deepest(block)            # a degenerate candidate before it comes first
         raise
     depth, c = max(best, deepest(block), key=itemgetter(0))
-    return depth, _ply_witness(cs, planes, [reps[m] for m in c.caps], c.sgn)
+    return depth, _ply_witness(cs, [reps[m] for m in c.caps], c)
 
 
-def _ply_witness(cs: CapSystem, planes, caps, sgn):
+def _ply_witness(cs: CapSystem, caps, c: _Candidate):
     """The exact witness of the axis of one cap, or of a circle
-    intersection of two caps, from their rational boundary planes."""
+    intersection of two caps, read off the winning candidate c."""
     if len(caps) == 1:
         i, = caps
         a = cs.caps[i].axis
         k = _pow2_scale(a)
         root = math.sqrt(float(cs.caps[i].norm_sq * k * k))
         return {"kind": "axis", "cap": i, "axis": format_vector(a),
-                "approx": [float(c * k) / root for c in a]}
+                "approx": [float(x * k) / root for x in a]}
     i, j = caps
-    (wi, bi), (wj, bj) = planes[i], planes[j]
-    ni, nj, p = cs.caps[i].norm_sq, cs.caps[j].norm_sq, dot(wi, wj)
-    det = ni * nj - p * p
-    alpha, beta = (bi * nj - bj * p) / det, (bj * ni - bi * p) / det
-    x0 = tuple(alpha * a + beta * b for a, b in zip(wi, wj))
-    n = _cross(wi, wj)
+    # x0 = X/det does not depend on how each boundary plane is scaled, and
+    # n is the candidate's direction up to a positive factor
+    x0 = tuple(Fraction(x, c.det) for x in c.X)
+    n = _cross(cs.caps[i].axis, cs.caps[j].axis)
     rho = (1 - norm_sq(x0)) / norm_sq(n)
     k = _pow2_scale(n)
     rr = math.sqrt(float(rho / (k * k)))
     return {"kind": "circle-intersection", "caps": [i, j],
             "base": format_vector(x0), "direction": format_vector(n),
-            "scale_sq": format_rational(rho), "sign": sgn,
-            "approx": [float(r) + sgn * rr * float(d * k)
+            "scale_sq": format_rational(rho), "sign": c.sgn,
+            "approx": [float(r) + c.sgn * rr * float(d * k)
                        for r, d in zip(x0, n)]}
 
 

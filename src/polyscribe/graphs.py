@@ -3,6 +3,10 @@
 All searches are exponential but budgeted; exceeding a budget raises
 BudgetExceeded so callers can degrade to UNKNOWN instead of guessing.
 Searches use deterministic vertex orders so results are reproducible.
+The independent-set, toughness and Hamiltonian searches share one
+adjacency, each vertex's neighbours as a bitmask over the search's vertex
+order (`_neighbor_masks`).  The re-checks in `verdicts` stay on networkx
+on purpose, so that they share no code with the searches they check.
 1-toughness and 1-supertoughness are answered together by one scan of the
 cutsets (`toughness_scan`), which counts the components left by each
 vertex subset once; `is_one_tough` and `is_one_supertough` read their
@@ -26,48 +30,66 @@ DEFAULT_TOUGHNESS_BUDGET = 22
 DEFAULT_HAMILTON_BUDGET = 30
 
 
+# ---------------------------------------------------------------- adjacency
+
+def _neighbor_masks(g: nx.Graph, order) -> list[int]:
+    """The neighbours of order[i] as a bitmask over positions in order."""
+    idx = {v: i for i, v in enumerate(order)}
+    masks = [0] * len(order)
+    for u, v in g.edges:
+        masks[idx[u]] |= 1 << idx[v]
+        masks[idx[v]] |= 1 << idx[u]
+    return masks
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 # ---------------------------------------------------------------- independent set
 
 def max_independent_set(g: nx.Graph, budget: int = DEFAULT_INDEP_BUDGET) -> set[int]:
     """Maximum-cardinality independent set by branch and bound.
 
     Bound: greedy clique cover of the remaining candidates.  Vertex order:
-    ascending degree, then label, for reproducibility.
+    ascending degree, then label, for reproducibility; bit i of each mask
+    is the i-th vertex, and candidates are tried in ascending bit order.
     """
     n = g.number_of_nodes()
     if n > budget:
         raise BudgetExceeded("independent set search", n, budget)
     order = sorted(g.nodes, key=lambda v: (g.degree(v), v))
-    pos = {v: i for i, v in enumerate(order)}
-    adj = {v: {u for u in g[v]} for v in g.nodes}
+    masks = _neighbor_masks(g, order)
+    best = 0
 
-    best: list[int] = []
-
-    def clique_cover_bound(cands: list[int]) -> int:
+    def clique_cover_bound(cands: int) -> int:
         cliques = []
-        for v in cands:
-            for c in cliques:
-                if all(u in adj[v] for u in c):
-                    c.append(v)
+        for v in _bits(cands):
+            for j, c in enumerate(cliques):
+                if c & ~masks[v] == 0:
+                    cliques[j] = c | 1 << v
                     break
             else:
-                cliques.append([v])
+                cliques.append(1 << v)
         return len(cliques)
 
-    def extend(current: list[int], cands: list[int]):
+    def extend(current: int, cands: int):
         nonlocal best
-        if len(current) > len(best):
-            best = list(current)
-        if not cands:
+        size = current.bit_count()
+        if size > best.bit_count():
+            best = current
+        if not cands or size + clique_cover_bound(cands) <= best.bit_count():
             return
-        if len(current) + clique_cover_bound(cands) <= len(best):
-            return
-        for i, v in enumerate(cands):
-            rest = [u for u in cands[i + 1:] if u not in adj[v]]
-            extend(current + [v], rest)
+        for v in _bits(cands):
+            cands ^= 1 << v               # leaves the candidates after v
+            extend(current | 1 << v, cands & ~masks[v])
 
-    extend([], order)
-    return set(best)
+    extend(0, (1 << n) - 1)
+    return {order[i] for i in _bits(best)}
 
 
 def is_bipartite_classes(g: nx.Graph):
@@ -97,18 +119,15 @@ def independent_set_obstruction(g: nx.Graph,
 def steinitz_paint_test(m: CombinatorialMap,
                         budget: int = DEFAULT_INDEP_BUDGET) -> Certificate | None:
     """Facet-painting obstruction to circumscribability: runs the independent
-    set obstruction on the dual graph.  For the exactly-half case the needed
-    edge between two white facets is checked explicitly."""
+    set obstruction on the dual graph.  In the exactly-half case the dual,
+    which is connected, is not bipartite, so two white facets share an edge:
+    else (black, white) would be its bipartition."""
     dg = dual_map(m).graph()
     cert = independent_set_obstruction(dg, budget)
     if cert is None:
         return None
     black = set(cert.data["independent_set"])
     white = set(dg.nodes) - black
-    if 2 * len(black) == dg.number_of_nodes() and not any(
-            dg.has_edge(u, v) for u in white for v in white if u < v):
-        raise RuntimeError("half-size independent set in a non-bipartite graph "
-                           "left no white-white edge")
     return Certificate(
         CertKind.PAINT_OBSTRUCTION,
         {"independent_set": sorted(black), "white_facets": sorted(white),
@@ -118,16 +137,6 @@ def steinitz_paint_test(m: CombinatorialMap,
 
 
 # ---------------------------------------------------------------- toughness
-
-def _neighbor_masks(g: nx.Graph):
-    nodes = sorted(g.nodes)
-    idx = {v: i for i, v in enumerate(nodes)}
-    masks = [0] * len(nodes)
-    for u, v in g.edges:
-        masks[idx[u]] |= 1 << idx[v]
-        masks[idx[v]] |= 1 << idx[u]
-    return nodes, masks
-
 
 def _components_mask(masks, alive: int) -> int:
     count = 0
@@ -185,7 +194,8 @@ def toughness_scan(m: CombinatorialMap):
     if n > budget:
         return (BudgetExceeded("toughness enumeration", n, budget),
                 BudgetExceeded("supertoughness enumeration", n, budget))
-    nodes, masks = _neighbor_masks(g)
+    nodes = sorted(g.nodes)
+    masks = _neighbor_masks(g, nodes)
     deg = [mask.bit_count() for mask in masks]
     # top[i]: the largest degree among vertices i, ..., n - 1
     top = [0] * (n + 1)
@@ -278,49 +288,36 @@ def degree_range_check(g: nx.Graph) -> bool:
 
 def hamiltonian_cycle(g: nx.Graph):
     """A Hamiltonian cycle as a vertex list, or None after exhaustive search
-    of graphs with at most DEFAULT_HAMILTON_BUDGET vertices."""
+    of graphs with at most DEFAULT_HAMILTON_BUDGET vertices.  Vertex order:
+    ascending label, as bits 0, 1, ...; the path starts at bit 0 and tries
+    its tail's unused neighbours in ascending bit order."""
     n = g.number_of_nodes()
     if n > DEFAULT_HAMILTON_BUDGET:
         raise BudgetExceeded("Hamiltonian cycle search", n, DEFAULT_HAMILTON_BUDGET)
     if n < 3:
         return None
     nodes = sorted(g.nodes)
-    idx = {v: i for i, v in enumerate(nodes)}
-    adj = [sorted(idx[u] for u in g[v]) for v in nodes]
-    start = 0
-    path = [start]
-    used = [False] * n
-    used[start] = True
+    masks = _neighbor_masks(g, nodes)
+    full = (1 << n) - 1
+    path = [0]
 
-    def feasible():
-        # every unused vertex still needs 2 free neighbors (path ends count)
+    def dfs(used: int) -> bool:
         tail = path[-1]
-        for v in range(n):
-            if used[v]:
-                continue
-            free = sum(1 for u in adj[v] if not used[u] or u == tail or u == start)
-            if free < 2:
-                return False
-        return True
-
-    def dfs():
         if len(path) == n:
-            return start in adj[path[-1]]
-        if not feasible():
+            return bool(masks[tail] & 1)
+        # every unused vertex still needs 2 free neighbours (path ends count)
+        unused = full ^ used
+        free = unused | 1 << tail | 1
+        if any((masks[v] & free).bit_count() < 2 for v in _bits(unused)):
             return False
-        for u in adj[path[-1]]:
-            if not used[u]:
-                used[u] = True
-                path.append(u)
-                if dfs():
-                    return True
-                path.pop()
-                used[u] = False
+        for u in _bits(masks[tail] & unused):
+            path.append(u)
+            if dfs(used | 1 << u):
+                return True
+            path.pop()
         return False
 
-    if dfs():
-        return [nodes[i] for i in path]
-    return None
+    return [nodes[i] for i in path] if dfs(1) else None
 
 
 def hamiltonian_certificate(cycle) -> Certificate:

@@ -159,10 +159,9 @@ def validate_map(raw) -> CombinatorialMap:
         g.add_edges_from(m.edge_faces)
         if not nx.is_connected(g):
             raise NotThreeConnected(0, None)
-        k = nx.node_connectivity(g)
-        if k < 3:
-            cut = nx.minimum_node_cut(g)
-            raise NotThreeConnected(k, cut)
+        cut = nx.minimum_node_cut(g)      # its size is the connectivity
+        if len(cut) < 3:
+            raise NotThreeConnected(len(cut), cut)
         # Faces whose vertex stars are single cycles glue into the sphere,
         # and with a 3-connected graph they are polyhedral; so some vertex
         # star here is pinched into several cycles.

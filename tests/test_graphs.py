@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import comb
 
@@ -370,3 +371,124 @@ def test_toughness_scan_over_budget():
     ref = _assert_scan_matches_reference(m)
     assert ref == ["toughness enumeration: needs 23, budget 22",
                    "supertoughness enumeration: needs 23, budget 22"]
+
+
+# ------------------------------------- reference independent set and cycle
+
+def ref_max_independent_set(g):
+    """Reference for max_independent_set on a dict-of-sets adjacency with
+    list candidates: branch and bound over vertices by ascending degree,
+    then label, bounded by a greedy clique cover."""
+    order = sorted(g.nodes, key=lambda v: (g.degree(v), v))
+    adj = {v: {u for u in g[v]} for v in g.nodes}
+    best = []
+
+    def clique_cover_bound(cands):
+        cliques = []
+        for v in cands:
+            for c in cliques:
+                if all(u in adj[v] for u in c):
+                    c.append(v)
+                    break
+            else:
+                cliques.append([v])
+        return len(cliques)
+
+    def extend(current, cands):
+        nonlocal best
+        if len(current) > len(best):
+            best = list(current)
+        if not cands:
+            return
+        if len(current) + clique_cover_bound(cands) <= len(best):
+            return
+        for i, v in enumerate(cands):
+            rest = [u for u in cands[i + 1:] if u not in adj[v]]
+            extend(current + [v], rest)
+
+    extend([], order)
+    return set(best)
+
+
+def ref_hamiltonian_cycle(g):
+    """Reference for hamiltonian_cycle on relabelled index lists and a
+    used[] array: a path from the least label, extended through the tail's
+    neighbours in label order, cut once an unused vertex has fewer than 2
+    free neighbours."""
+    n = g.number_of_nodes()
+    if n < 3:
+        return None
+    nodes = sorted(g.nodes)
+    idx = {v: i for i, v in enumerate(nodes)}
+    adj = [sorted(idx[u] for u in g[v]) for v in nodes]
+    start = 0
+    path = [start]
+    used = [False] * n
+    used[start] = True
+
+    def feasible():
+        # every unused vertex still needs 2 free neighbors (path ends count)
+        tail = path[-1]
+        for v in range(n):
+            if used[v]:
+                continue
+            free = sum(1 for u in adj[v] if not used[u] or u == tail or u == start)
+            if free < 2:
+                return False
+        return True
+
+    def dfs():
+        if len(path) == n:
+            return start in adj[path[-1]]
+        if not feasible():
+            return False
+        for u in adj[path[-1]]:
+            if not used[u]:
+                used[u] = True
+                path.append(u)
+                if dfs():
+                    return True
+                path.pop()
+                used[u] = False
+        return False
+
+    if dfs():
+        return [nodes[i] for i in path]
+    return None
+
+
+def seeded_stackings(count, max_vertices):
+    """count octahedra, each stacked on seeded faces 2 to max_vertices - 6
+    times."""
+    rng = random.Random(0)
+    out = []
+    for _ in range(count):
+        m = named_polytope("octahedron")
+        for _ in range(rng.randint(2, max_vertices - 6)):
+            m = stack_on_face(m, rng.randrange(m.n_faces))
+        out.append(m)
+    return out
+
+
+def _differential_graphs():
+    """The corpus, prisms 3-15 and seeded stackings of at most 22 vertices,
+    each with its dual, and the gnp graphs of the independent-set test."""
+    ms = [named_polytope(name) for name in CORPUS_NAMES]
+    ms += [prism(k) for k in range(3, 16)] + seeded_stackings(15, 22)
+    gs = [m.graph() for m in ms + [dual_map(m) for m in ms]]
+    return gs + [nx.gnp_random_graph(11, 0.35, seed=seed) for seed in range(6)]
+
+
+def test_searches_match_reference():
+    # the same independent set, and the same first cycle or None
+    # on every graph within each search's budget: all 102 and 95 of them
+    sets = cycles = 0
+    for g in _differential_graphs():
+        n = g.number_of_nodes()
+        if n <= graphs.DEFAULT_INDEP_BUDGET:
+            assert max_independent_set(g) == ref_max_independent_set(g)
+            sets += 1
+        if n <= graphs.DEFAULT_HAMILTON_BUDGET:
+            assert hamiltonian_cycle(g) == ref_hamiltonian_cycle(g)
+            cycles += 1
+    assert (sets, cycles) == (102, 95)
