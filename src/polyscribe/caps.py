@@ -37,9 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .adjacency import Graph
 from .errors import (DegenerateConfiguration, MonteCarloOnly, ParseError,
                      PointInsideBall)
-from .lazy import nx
 from .linalg import dot, norm_sq, scaled
 from .points import PointConfiguration
 from .rationals import format_rational, format_vector, parse_rational, parse_vector
@@ -302,7 +302,7 @@ def _caps_overlap(ci: SphericalCap, cj: SphericalCap) -> bool:
                  -si * sj, qi * qj * nn) >= 0
 
 
-def cap_intersection_graph(cs: CapSystem) -> nx.Graph:
+def cap_intersection_graph(cs: CapSystem) -> Graph:
     """Caps i < j meet iff c_i + c_j <= 0 or <a_i, a_j> - c_i c_j +
     sin_i sin_j >= 0 (unit axes; see `_caps_overlap`), that is iff the
     larger of the negated first and the second value is >= 0.  Both come
@@ -314,10 +314,7 @@ def cap_intersection_graph(cs: CapSystem) -> nx.Graph:
     meet = _decide(np.maximum(-(f.cos[i] + f.cos[j]), gap), f.bound,
                    lambda k: 1 if _caps_overlap(cs.caps[i[k]], cs.caps[j[k]])
                    else -1) >= 0
-    g = nx.Graph()
-    g.add_nodes_from(range(cs.n_caps))
-    g.add_edges_from(zip(i[meet].tolist(), j[meet].tolist()))
-    return g
+    return Graph.from_edges(cs.n_caps, zip(i[meet].tolist(), j[meet].tolist()))
 
 
 # ------------------------------------------------------------------ ply depth
@@ -585,9 +582,7 @@ def random_hyperplane_separator(cs: CapSystem, trials: int,
                 for t in range(trials)]
     counts = [len(h) for h in all_hits]
     best = min(range(trials), key=lambda t: (counts[t], t))
-    h = g.copy()
-    h.remove_nodes_from(all_hits[best])
-    comps = sorted((len(c) for c in nx.connected_components(h)), reverse=True)
+    comps = sorted(g.component_sizes(all_hits[best]), reverse=True)
     return SeparatorReport(
         trials=trials, seed=seed, hit_counts=counts,
         best_trial=best, best_hits=all_hits[best], best_components=comps,

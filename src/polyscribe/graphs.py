@@ -5,8 +5,9 @@ BudgetExceeded so callers can degrade to UNKNOWN instead of guessing.
 Searches use deterministic vertex orders so results are reproducible.
 The independent-set, toughness and Hamiltonian searches share one
 adjacency, each vertex's neighbours as a bitmask over the search's vertex
-order (`_neighbor_masks`).  The re-checks in `verdicts` stay on networkx
-on purpose, so that they share no code with the searches they check.
+order (`_neighbor_masks`).  The re-checks in `verdicts` read the graph's
+neighbour lists instead, so that they share no code with the searches they
+check.
 1-toughness and 1-supertoughness are answered together by one scan of the
 cutsets (`toughness_scan`), which counts the components left by each
 vertex subset once; `is_one_tough` and `is_one_supertough` read their
@@ -20,8 +21,8 @@ first violators as the unpruned scan.
 
 from __future__ import annotations
 
+from .adjacency import Graph, minimum_node_cut
 from .errors import BudgetExceeded
-from .lazy import nx
 from .maps import CombinatorialMap, dual_map
 from .verdicts import Answer, Certificate, CertKind, Verdict
 
@@ -32,14 +33,10 @@ DEFAULT_HAMILTON_BUDGET = 30
 
 # ---------------------------------------------------------------- adjacency
 
-def _neighbor_masks(g: nx.Graph, order) -> list[int]:
+def _neighbor_masks(g: Graph, order) -> list[int]:
     """The neighbours of order[i] as a bitmask over positions in order."""
     idx = {v: i for i, v in enumerate(order)}
-    masks = [0] * len(order)
-    for u, v in g.edges:
-        masks[idx[u]] |= 1 << idx[v]
-        masks[idx[v]] |= 1 << idx[u]
-    return masks
+    return [sum(1 << idx[u] for u in g.adj[v]) for v in order]
 
 
 def _bits(mask: int):
@@ -52,17 +49,17 @@ def _bits(mask: int):
 
 # ---------------------------------------------------------------- independent set
 
-def max_independent_set(g: nx.Graph, budget: int = DEFAULT_INDEP_BUDGET) -> set[int]:
+def max_independent_set(g: Graph, budget: int = DEFAULT_INDEP_BUDGET) -> set[int]:
     """Maximum-cardinality independent set by branch and bound.
 
     Bound: greedy clique cover of the remaining candidates.  Vertex order:
     ascending degree, then label, for reproducibility; bit i of each mask
     is the i-th vertex, and candidates are tried in ascending bit order.
     """
-    n = g.number_of_nodes()
+    n = len(g.adj)
     if n > budget:
         raise BudgetExceeded("independent set search", n, budget)
-    order = sorted(g.nodes, key=lambda v: (g.degree(v), v))
+    order = sorted(g.nodes, key=lambda v: (len(g.adj[v]), v))
     masks = _neighbor_masks(g, order)
     best = 0
 
@@ -92,20 +89,30 @@ def max_independent_set(g: nx.Graph, budget: int = DEFAULT_INDEP_BUDGET) -> set[
     return {order[i] for i in _bits(best)}
 
 
-def is_bipartite_classes(g: nx.Graph):
-    """(class_a, class_b) if bipartite, else None."""
-    try:
-        a, b = nx.bipartite.sets(g)
-        return set(a), set(b)
-    except (nx.NetworkXError, nx.AmbiguousSolution):
+def is_bipartite_classes(g: Graph):
+    """(class_a, class_b) if g is connected and bipartite, else None: the
+    parity classes of a breadth-first search from vertex 0, the class of
+    vertex 0 first."""
+    side = [None] * len(g.adj)
+    side[0] = 0
+    todo = [0]
+    for v in todo:
+        for u in g.adj[v]:
+            if side[u] is None:
+                side[u] = 1 - side[v]
+                todo.append(u)
+            elif side[u] == side[v]:
+                return None
+    if len(todo) < len(g.adj):
         return None
+    return {v for v in g.nodes if side[v] == 0}, {v for v in g.nodes if side[v] == 1}
 
 
-def independent_set_obstruction(g: nx.Graph,
+def independent_set_obstruction(g: Graph,
                                 budget: int = DEFAULT_INDEP_BUDGET) -> Certificate | None:
     """Not-inscribable witness: independent set of more than half the vertices,
     or exactly half with the graph not bipartite.  None means no conclusion."""
-    n = g.number_of_nodes()
+    n = len(g.adj)
     s = max_independent_set(g, budget)
     if 2 * len(s) > n or (2 * len(s) == n and is_bipartite_classes(g) is None):
         return Certificate(
@@ -131,8 +138,8 @@ def steinitz_paint_test(m: CombinatorialMap,
     return Certificate(
         CertKind.PAINT_OBSTRUCTION,
         {"independent_set": sorted(black), "white_facets": sorted(white),
-         "n_vertices": dg.number_of_nodes()},
-        f"{len(black)} of {dg.number_of_nodes()} facets painted black: not circumscribable",
+         "n_vertices": len(dg.adj)},
+        f"{len(black)} of {len(dg.adj)} facets painted black: not circumscribable",
     )
 
 
@@ -190,12 +197,11 @@ def toughness_scan(m: CombinatorialMap):
       k <= 4 violates toughness and none with k <= 3 supertoughness.
     """
     g = m.graph()
-    n, budget = g.number_of_nodes(), DEFAULT_TOUGHNESS_BUDGET
+    n, budget = len(g.adj), DEFAULT_TOUGHNESS_BUDGET
     if n > budget:
         return (BudgetExceeded("toughness enumeration", n, budget),
                 BudgetExceeded("supertoughness enumeration", n, budget))
-    nodes = sorted(g.nodes)
-    masks = _neighbor_masks(g, nodes)
+    masks = _neighbor_masks(g, g.nodes)
     deg = [mask.bit_count() for mask in masks]
     # top[i]: the largest degree among vertices i, ..., n - 1
     top = [0] * (n + 1)
@@ -206,7 +212,7 @@ def toughness_scan(m: CombinatorialMap):
     tough = supertough = None
 
     def violation(kind, name, chosen, comps):
-        cut = [nodes[i] for i in range(n) if chosen >> i & 1]
+        cut = [i for i in range(n) if chosen >> i & 1]
         return False, Certificate(
             kind, {"cutset": cut, "components": comps},
             f"removing {len(cut)} vertices leaves {comps} components: not {name}")
@@ -262,14 +268,14 @@ def is_one_supertough(m: CombinatorialMap):
 
 # ---------------------------------------------------------------- connectivity
 
-def vertex_connectivity(g: nx.Graph):
+def vertex_connectivity(g: Graph):
     """Exact vertex connectivity, plus a minimum cutset witness (None for
     complete graphs, which have no cutset and connectivity n - 1).  One
     max-flow pass finds a minimum cut, and the connectivity is its size."""
-    n = g.number_of_nodes()
+    n = len(g.adj)
     k, cutset = n - 1, None
     if g.number_of_edges() < n * (n - 1) // 2:
-        cutset = sorted(nx.minimum_node_cut(g))
+        cutset = sorted(minimum_node_cut(g))
         k = len(cutset)
     cert = Certificate(
         CertKind.CONNECTIVITY_WITNESS,
@@ -279,25 +285,24 @@ def vertex_connectivity(g: nx.Graph):
     return k, cert
 
 
-def degree_range_check(g: nx.Graph) -> bool:
+def degree_range_check(g: Graph) -> bool:
     """Whether every vertex degree lies in [4, 6]."""
-    return all(4 <= d <= 6 for _, d in g.degree)
+    return all(4 <= len(nbrs) <= 6 for nbrs in g.adj)
 
 
 # ---------------------------------------------------------------- Hamiltonicity
 
-def hamiltonian_cycle(g: nx.Graph):
+def hamiltonian_cycle(g: Graph):
     """A Hamiltonian cycle as a vertex list, or None after exhaustive search
     of graphs with at most DEFAULT_HAMILTON_BUDGET vertices.  Vertex order:
     ascending label, as bits 0, 1, ...; the path starts at bit 0 and tries
     its tail's unused neighbours in ascending bit order."""
-    n = g.number_of_nodes()
+    n = len(g.adj)
     if n > DEFAULT_HAMILTON_BUDGET:
         raise BudgetExceeded("Hamiltonian cycle search", n, DEFAULT_HAMILTON_BUDGET)
     if n < 3:
         return None
-    nodes = sorted(g.nodes)
-    masks = _neighbor_masks(g, nodes)
+    masks = _neighbor_masks(g, g.nodes)
     full = (1 << n) - 1
     path = [0]
 
@@ -317,7 +322,7 @@ def hamiltonian_cycle(g: nx.Graph):
             path.pop()
         return False
 
-    return [nodes[i] for i in path] if dfs(1) else None
+    return path if dfs(1) else None
 
 
 def hamiltonian_certificate(cycle) -> Certificate:
@@ -334,7 +339,7 @@ def simple_polytope_characterization(m: CombinatorialMap, supertough) -> Verdict
     it is read only when the first test fails, and a BudgetExceeded there is
     raised."""
     g = m.graph()
-    if any(d != 3 for _, d in g.degree):
+    if any(len(nbrs) != 3 for nbrs in g.adj):
         return None
     certs = []
     classes = is_bipartite_classes(g)

@@ -29,7 +29,6 @@ from heapq import heappop, heappush
 
 from .errors import BudgetExceeded
 from .graphs import hamiltonian_cycle, hamiltonian_certificate
-from .lazy import nx
 from .linalg import scaled
 from .maps import CombinatorialMap, dual_map
 from .rationals import format_rational, parse_rational
@@ -56,11 +55,15 @@ def enumerate_simple_circuits(m: CombinatorialMap) -> list[Circuit]:
 
     A cycle equals a face boundary iff their edge sets coincide (cyclic
     sequences up to rotation and reflection are determined by their edges).
+    networkx lists the cycles; only the tests' and the benchmark's
+    reference calls this, so it imports networkx and no decision does.
     """
+    import networkx as nx
+
     face_sets = set(map(frozenset, m.face_edges))
     budget = DEFAULT_CYCLE_BUDGET
     out = []
-    for i, cyc in enumerate(nx.simple_cycles(m.graph())):
+    for i, cyc in enumerate(nx.simple_cycles(nx.Graph(m.graph().edges))):
         if i >= budget:
             raise BudgetExceeded("simple circuit enumeration", f"> {budget}", budget)
         es = frozenset(edge_key((cyc[j], cyc[(j + 1) % len(cyc)])) for j in range(len(cyc)))

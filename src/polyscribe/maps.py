@@ -5,9 +5,9 @@ The face list is taken as an embedding witness (unique by Whitney for
 is a simple cycle, every edge lies in exactly two faces, Euler's relation
 holds, and the graph is 3-connected.  3-connectivity is read off the faces
 themselves when they form a polyhedral map (see `_polyhedral`); only a face
-list that does not is handed to networkx max-flow, which then gives the
-connectivity and the cut that a rejection reports; when its graph is
-3-connected all the same, some vertex star is pinched, and the faces are
+list that does not is handed to max-flow (`minimum_node_cut`), which then
+gives the connectivity and the cut that a rejection reports; when its graph
+is 3-connected all the same, some vertex star is pinched, and the faces are
 rejected for it.  Polyhedral maps are closed under duality, so a dual is
 built without a second validation.
 
@@ -15,9 +15,9 @@ A map carries its incidence, built once with it: the faces of each edge,
 the edges of each face and the faces around each vertex.  Validation, the
 dual and the angle systems all read it.  Its graph and its dual are built
 on first use and kept on it, so every reader shares one of each; the graph
-is frozen, and a reader that edits it takes a copy.  `edges` keeps the
-order it is built in, because networkx's cuts depend on the order
-`graph()` hands it the edges.  The faces of a dual edge are the stars of
+is immutable.  `edges` keeps the order it is built in, because the
+neighbour order of `graph()` follows it, and the cut `minimum_node_cut`
+reports depends on that order.  The faces of a dual edge are the stars of
 the two ends of the primal edge it crosses, so `dual_map(m).edge_faces` is
 the relabel from dual edges to primal edges, and `m.edge_faces` is its
 inverse.
@@ -30,6 +30,7 @@ from collections import Counter
 from itertools import combinations
 from dataclasses import dataclass, field
 
+from .adjacency import Graph, minimum_node_cut
 from .errors import (
     DegenerateFace,
     EdgeNotInTwoFaces,
@@ -37,7 +38,6 @@ from .errors import (
     NotThreeConnected,
     ParseError,
 )
-from .lazy import nx
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ class CombinatorialMap:
     order, keyed in order of first appearance; `face_edges` holds each
     face's sorted edges, sorted; `stars` holds, for each vertex v, the
     (face index, vertex before v, vertex after v) of every face through v,
-    in face order.  `graph()` inserts edges in the iteration order of
-    `edges`, which decides the cuts networkx reports."""
+    in face order.  `graph()` takes the edges in the iteration order of
+    `edges`, which decides the cuts `minimum_node_cut` reports."""
 
     n_vertices: int
     faces: tuple[tuple[int, ...], ...]
@@ -63,8 +63,8 @@ class CombinatorialMap:
     # The polar dual, built by the first dual_map call on this map.
     _dual: CombinatorialMap | None = field(default=None, init=False,
                                            compare=False, repr=False)
-    # The frozen graph, built by the first graph() call.
-    _graph: nx.Graph | None = field(default=None, init=False, compare=False, repr=False)
+    # The graph, built by the first graph() call.
+    _graph: Graph | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         edge_faces: dict = {}
@@ -80,7 +80,7 @@ class CombinatorialMap:
                 stars[u].append((fi, f[i - 1], v))
             face_edges.append(tuple(sorted(fe)))
         # Through a set: a frozenset made straight from the pairs would
-        # iterate in another order, and the cuts networkx reports with it.
+        # iterate in another order, and the reported cuts with it.
         object.__setattr__(self, "edges", frozenset(set(map(frozenset, edge_faces))))
         object.__setattr__(self, "edge_faces",
                            {e: tuple(fs) for e, fs in edge_faces.items()})
@@ -91,21 +91,16 @@ class CombinatorialMap:
     def n_faces(self) -> int:
         return len(self.faces)
 
-    def graph(self) -> nx.Graph:
-        """The graph of the map, built once and frozen (`nx.freeze`)."""
+    def graph(self) -> Graph:
+        """The graph of the map, built once, its edges taken in the order
+        of `edges`."""
         if self._graph is None:
-            object.__setattr__(self, "_graph", nx.freeze(_build_graph(self)))
+            object.__setattr__(self, "_graph", Graph.from_edges(
+                self.n_vertices, (tuple(sorted(e)) for e in self.edges)))
         return self._graph
 
     def face_sets(self) -> set[frozenset[int]]:
         return {frozenset(f) for f in self.faces}
-
-
-def _build_graph(m: CombinatorialMap) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(range(m.n_vertices))
-    g.add_edges_from(tuple(sorted(e)) for e in m.edges)
-    return g
 
 
 def validate_map(raw) -> CombinatorialMap:
@@ -115,9 +110,9 @@ def validate_map(raw) -> CombinatorialMap:
     Raises one of the MapValidationError subclasses naming the offending
     element, or ParseError for structurally malformed input.  Faces that
     form a polyhedral map (`_polyhedral`) certify 3-connectivity; any other
-    face list is decided by networkx max-flow, which also gives the cut a
-    rejection reports; if that graph is 3-connected, DegenerateFace names a
-    pinched vertex star.
+    face list is decided by max-flow (`minimum_node_cut`), which also gives
+    the cut a rejection reports; if that graph is 3-connected, DegenerateFace
+    names a pinched vertex star.
     """
     if not isinstance(raw, dict) or "vertices" not in raw or "faces" not in raw:
         raise ParseError("map data must contain 'vertices' and 'faces'")
@@ -152,14 +147,12 @@ def validate_map(raw) -> CombinatorialMap:
 
     m = CombinatorialMap(n, tuple(tuple(f) for f in faces), raw.get("name"))
     if not _polyhedral(m):
-        # Edges go to networkx in order of first appearance, which decides
-        # the cut that a rejection reports.
-        g = nx.Graph()
-        g.add_nodes_from(range(n))
-        g.add_edges_from(m.edge_faces)
-        if not nx.is_connected(g):
+        # Edges in order of first appearance, which decides the cut that a
+        # rejection reports.
+        g = Graph.from_edges(n, m.edge_faces)
+        if len(g.component_sizes()) > 1:
             raise NotThreeConnected(0, None)
-        cut = nx.minimum_node_cut(g)      # its size is the connectivity
+        cut = minimum_node_cut(g)         # its size is the connectivity
         if len(cut) < 3:
             raise NotThreeConnected(len(cut), cut)
         # Faces whose vertex stars are single cycles glue into the sphere,

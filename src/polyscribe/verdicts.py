@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .lazy import nx
+from .adjacency import Graph
 
 
 class Answer(enum.Enum):
@@ -49,30 +49,25 @@ class Verdict:
         return self.answer is Answer.NO
 
 
-def _count_components(g: nx.Graph, removed) -> int:
-    h = g.copy()
-    h.remove_nodes_from(removed)
-    return nx.number_connected_components(h) if h.number_of_nodes() else 0
-
-
-def _vertex_set(g: nx.Graph, vertices) -> set | None:
+def _vertex_set(g: Graph, vertices) -> set | None:
     """The vertices as a set, or None when they name a vertex g does not
     have or name one twice."""
     s = set(vertices)
-    if len(s) != len(vertices) or not all(g.has_node(v) for v in s):
+    if len(s) != len(vertices) or not all(v in g.nodes for v in s):
         return None
     return s
 
 
-def recheck_certificate(cert: Certificate, g: nx.Graph) -> bool:
+def recheck_certificate(cert: Certificate, g: Graph) -> bool:
     """Re-validate a graph certificate from its data alone.  A cutset,
     independent set or bipartite class that names a vertex outside g, or
-    one vertex twice, fails."""
+    one vertex twice, fails; so does a connectivity witness without a
+    cutset, unless g is complete."""
     k, d = cert.kind, cert.data
     if k in (CertKind.INDEPENDENT_SET_OBSTRUCTION, CertKind.PAINT_OBSTRUCTION):
         s = _vertex_set(g, d["independent_set"])
         n = d["n_vertices"]
-        if s is None or g.number_of_nodes() != n:
+        if s is None or len(g.adj) != n:
             return False
         if any(g.has_edge(u, v) for u in s for v in s if u < v):
             return False
@@ -86,7 +81,7 @@ def recheck_certificate(cert: Certificate, g: nx.Graph) -> bool:
         s = _vertex_set(g, d["cutset"])
         if s is None:
             return False
-        comps = _count_components(g, s)
+        comps = len(g.component_sizes(s))
         if comps != d["components"]:
             return False
         if k is CertKind.TOUGHNESS_VIOLATION:
@@ -103,9 +98,10 @@ def recheck_certificate(cert: Certificate, g: nx.Graph) -> bool:
             return False
         return all(g.has_edge(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc)))
     if k is CertKind.CONNECTIVITY_WITNESS:
-        if d.get("cutset") is None:  # complete graph: no cutset exists
-            return d["connectivity"] == g.number_of_nodes() - 1
+        n = len(g.adj)
+        if d.get("cutset") is None:  # only a complete graph has no cutset
+            return d["connectivity"] == n - 1 and g.number_of_edges() == n * (n - 1) // 2
         s = _vertex_set(g, d["cutset"])
         return (s is not None and len(s) == d["connectivity"]
-                and _count_components(g, s) > 1)
+                and len(g.component_sizes(s)) > 1)
     raise ValueError(f"no graph recheck for certificate kind {k}")

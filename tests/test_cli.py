@@ -191,19 +191,19 @@ def test_analyze_builds_one_dual(mapfile, capsys, monkeypatch):
 def test_analyze_builds_one_graph_per_map(mapfile, capsys, monkeypatch):
     # every test and certificate re-check reads the one graph of the map or
     # of its dual
-    files = [mapfile("cube"), mapfile("truncated-tetrahedron")]
-    calls = []
-    build = maps._build_graph
+    built = []
+    build = maps.Graph.from_edges
 
-    def counted(m):
-        calls.append(m)
-        return build(m)
-    monkeypatch.setattr(maps, "_build_graph", counted)
-    for f in files:
-        calls.clear()
-        rc, out = run(capsys, "analyze", f, "--json", "--verify-certificates")
+    def counted(n, edges):
+        built.append(n)
+        return build(n, edges)
+    monkeypatch.setattr(maps.Graph, "from_edges", counted)
+    for name in ("cube", "truncated-tetrahedron"):
+        built.clear()
+        rc, out = run(capsys, "analyze", mapfile(name), "--json", "--verify-certificates")
         assert rc == 0 and json.loads(out)["certificates_verified"] is True
-        assert len(calls) == 2 and calls[1] is maps.dual_map(calls[0])
+        m = named_polytope(name)
+        assert built == [m.n_vertices, m.n_faces]    # the map's, then its dual's
 
 @pytest.mark.parametrize("name, test, cutset", [
     ("icosahedron", "connectivity", [0, 3, 5, 9, 10]),
@@ -213,8 +213,9 @@ def test_analyze_builds_one_graph_per_map(mapfile, capsys, monkeypatch):
     ("prism-4", "simple-polytope characterization", [0, 1, 3, 5]),
 ])
 def test_analyze_cutsets_follow_the_edge_order(mapfile, capsys, name, test, cutset):
-    # networkx's minimum cut depends on the order graph() hands it the
-    # edges, so these reported cutsets pin the order of CombinatorialMap.edges
+    # the reported minimum cut depends on the neighbour order of graph(),
+    # which follows the edges, so these cutsets pin the order of
+    # CombinatorialMap.edges
     rc, out = run(capsys, "analyze", mapfile(name), "--json")
     found = [c["data"]["cutset"] for t in json.loads(out)["tests"] if t["name"] == test
              for c in t["certificates"] if c["kind"] == "ConnectivityWitness"]
@@ -332,29 +333,46 @@ def test_generate_check_scribe_pipeline(tmp_path, capsys):
     assert rc == 0 and json.loads(out)["holds"] is True
 
 
-NETWORKX_ON_FIRST_USE = """
-import sys
+ASK_ALL = """
+import contextlib, io, json, sys
 from polyscribe.cli import main
-d = sys.argv[1]
-main(["generate", "--family", "cyclic-trig", "--n", "6", "--d", "4", "-o", d + "/c6.json"])
-main(["check", d + "/c6.json"])
-main(["scribe", d + "/c6.json", "--k", "0"])
-assert "networkx" in sys.modules and "networkx.classes" not in sys.modules
-main(["analyze", d + "/cube.json", "--json"])
-assert "networkx.classes" in sys.modules
+answers = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    answers.append([rc, out.getvalue(), err.getvalue()])
+print(json.dumps({"answers": answers, "networkx": "networkx" in sys.modules}))
 """
 
 
-def test_networkx_loads_on_first_graph_question(mapfile, tmp_path, capsys):
-    # the points questions leave networkx a placeholder; analyze then loads
-    # it and answers as in a process that imported it up front
-    rc, want = run(capsys, "analyze", mapfile("cube"), "--json")
-    assert rc == 0
+def test_no_cli_command_imports_networkx(tmp_path, capsys):
+    # every command, in one fresh process, answers as it does here, where
+    # the tests have loaded networkx, and leaves networkx unloaded
+    d = str(tmp_path)
+    (tmp_path / "caps.json").write_text(serialize_caps_json(random_visibility_system(6, seed=1)))
+    commands = [["generate", "--family", "cyclic-trig", "--n", "6", "--d", "4",
+                 "-o", d + "/c6.json"],
+                ["generate", "--family", "cube", "-o", d + "/cube.json"],
+                ["check", d + "/c6.json", "--json"],
+                ["scribe", d + "/c6.json", "--k", "0", "--json"],
+                ["analyze", d + "/cube.json", "--json", "--verify-certificates"]]
+    commands += [["decide", d + "/cube.json", "--question", q, "--json"]
+                 for q in ("inscribable", "circumscribable", "hyperboloid", "cylinder")]
+    commands += [["caps", d + "/caps.json", "--ply", "exact", "--json"],
+                 ["separator", d + "/caps.json", "--trials", "20", "--json"]]
+    want = []
+    for argv in commands:
+        rc = main(argv)
+        captured = capsys.readouterr()
+        want.append([rc, captured.out, captured.err])
+    assert [rc for rc, _, _ in want] == [0] * len(commands)
     src = Path(polyscribe.__file__).resolve().parents[1]
-    out = subprocess.run([sys.executable, "-c", NETWORKX_ON_FIRST_USE, str(tmp_path)],
+    out = subprocess.run([sys.executable, "-c", ASK_ALL, json.dumps(commands)],
                          capture_output=True, text=True, timeout=120, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.endswith(want) and out.stderr == ""
+    assert json.loads(out.stdout) == {"answers": want, "networkx": False}
+    assert out.stderr == ""
 
 
 def test_generate_named_coordinates_roundtrip(tmp_path, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from polyscribe import graphs
+from polyscribe.adjacency import Graph, minimum_node_cut
 from polyscribe.corpus import (CORPUS_NAMES, kleetope, named_polytope, prism,
                               stack_on_face)
 from polyscribe.errors import BudgetExceeded, PolyscribeError
@@ -19,7 +20,12 @@ from polyscribe.graphs import (hamiltonian_cycle, independent_set_obstruction,
 from polyscribe.maps import dual_map, validate_map
 from polyscribe.verdicts import (Answer, CertKind, Certificate,
                                  recheck_certificate)
-from test_maps import _plane_map
+from test_maps import _plane_map, nx_graph
+
+
+def _graph(h):
+    """The library graph of a networkx graph on the vertices 0, ..., n - 1."""
+    return Graph.from_edges(h.number_of_nodes(), h.edges)
 
 
 def _brute_alpha(g):
@@ -34,7 +40,7 @@ def _brute_alpha(g):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_max_independent_set_vs_bruteforce(seed):
-    g = nx.gnp_random_graph(11, 0.35, seed=seed)
+    g = _graph(nx.gnp_random_graph(11, 0.35, seed=seed))
     s = max_independent_set(g)
     assert not any(g.has_edge(u, v) for u, v in combinations(s, 2))
     assert len(s) == _brute_alpha(g)
@@ -42,7 +48,7 @@ def test_max_independent_set_vs_bruteforce(seed):
 
 def test_independent_set_budget():
     with pytest.raises(BudgetExceeded):
-        max_independent_set(nx.path_graph(50), budget=40)
+        max_independent_set(_graph(nx.path_graph(50)), budget=40)
 
 
 def test_triakis_obstruction():
@@ -104,7 +110,7 @@ def test_connectivity():
     k, cert = vertex_connectivity(named_polytope("icosahedron").graph())
     assert k == 5
     assert recheck_certificate(cert, named_polytope("icosahedron").graph())
-    k, cert = vertex_connectivity(nx.complete_graph(4))
+    k, cert = vertex_connectivity(_graph(nx.complete_graph(4)))
     assert k == 3 and cert.data["cutset"] is None
 
 
@@ -113,15 +119,51 @@ def test_connectivity_is_the_cut_size():
     # is networkx's node connectivity, and the cut separates the graph
     ms = [named_polytope(name) for name in CORPUS_NAMES]
     ms += [dual_map(m) for m in ms] + [prism(k) for k in range(3, 20)]
-    for g in [m.graph() for m in ms] + [nx.complete_graph(4)]:
+    k4 = nx.complete_graph(4)
+    for g, h in [(m.graph(), nx_graph(m)) for m in ms] + [(_graph(k4), k4)]:
         k, cert = vertex_connectivity(g)
-        assert k == nx.node_connectivity(g)
+        assert k == nx.node_connectivity(h)
         cut = cert.data["cutset"]
         if cut is None:
-            assert g.number_of_edges() == k * (k + 1) // 2
+            assert h.number_of_edges() == k * (k + 1) // 2
         else:
-            assert len(cut) == k and not nx.is_connected(g.subgraph(set(g) - set(cut)))
+            assert len(cut) == k and not nx.is_connected(h.subgraph(set(h) - set(cut)))
         assert recheck_certificate(cert, g)
+
+
+def _cut_graphs():
+    """Pairs of a library graph and the networkx graph with its neighbour
+    order: the corpus, prisms 9-12 and seeded stackings, with their duals;
+    the 3-connected random plane maps of test_maps; connected gnp graphs."""
+    ms = [named_polytope(name) for name in CORPUS_NAMES]
+    ms += [prism(k) for k in range(9, 13)] + seeded_stackings(8, 16)
+    ms += [dual_map(m) for m in ms]
+    for seed in range(0, 700, 3):
+        raw = _plane_map(seed)
+        if raw is None:
+            continue
+        try:
+            ms.append(validate_map(raw))
+        except PolyscribeError:
+            continue
+    pairs = [(m.graph(), nx_graph(m)) for m in ms]
+    rng = random.Random(0)
+    while len(pairs) < len(ms) + 40:
+        n = rng.randint(4, 12)
+        h = nx.gnp_random_graph(n, rng.uniform(0.2, 0.7), seed=rng.randrange(10 ** 6))
+        if nx.is_connected(h) and h.number_of_edges() < n * (n - 1) // 2:
+            pairs.append((_graph(h), h))
+    return pairs
+
+
+def test_minimum_node_cut_matches_networkx():
+    # the same cut as networkx's, not only one of the same size: which of
+    # several least cuts is reported follows the neighbour order
+    pairs = _cut_graphs()
+    assert len(pairs) > 150
+    for g, h in pairs:
+        assert [tuple(h.adj[v]) for v in h] == list(g.adj)
+        assert minimum_node_cut(g) == nx.minimum_node_cut(h), g.adj
 
 
 # ------------------------------------------- certificates naming bad vertices
@@ -145,7 +187,7 @@ def test_recheck_rejects_independent_set_outside_the_graph(kind):
 
 
 def test_recheck_rejects_toughness_cutset_outside_the_graph():
-    star = nx.star_graph(3)
+    star = _graph(nx.star_graph(3))
     assert _recheck(CertKind.TOUGHNESS_VIOLATION, star, cutset=[0], components=3)
     assert not _recheck(CertKind.TOUGHNESS_VIOLATION, star, cutset=[0, 99], components=3)
     assert not _recheck(CertKind.TOUGHNESS_VIOLATION, star, cutset=[0, 0], components=3)
@@ -153,15 +195,15 @@ def test_recheck_rejects_toughness_cutset_outside_the_graph():
 
 def test_recheck_rejects_supertoughness_cutset_outside_the_graph():
     # the path 0-1-2 is 1-supertough; an absent vertex made the cutset size 2
-    path = nx.path_graph(3)
+    path = _graph(nx.path_graph(3))
     assert not _recheck(CertKind.SUPERTOUGH_VIOLATION, path, cutset=[1, 99], components=2)
     assert not _recheck(CertKind.SUPERTOUGH_VIOLATION, path, cutset=[1, 1], components=2)
-    longer = nx.path_graph(5)
+    longer = _graph(nx.path_graph(5))
     assert _recheck(CertKind.SUPERTOUGH_VIOLATION, longer, cutset=[1, 3], components=3)
 
 
 def test_recheck_rejects_bipartite_class_naming_a_vertex_twice():
-    hexagon = nx.cycle_graph(6)
+    hexagon = _graph(nx.cycle_graph(6))
     assert _recheck(CertKind.BIPARTITE_CLASSES, hexagon, class_a=[0, 2, 4], class_b=[1, 3, 5])
     assert not _recheck(CertKind.BIPARTITE_CLASSES, hexagon,
                         class_a=[0, 2, 4, 0], class_b=[1, 3, 5])
@@ -171,12 +213,26 @@ def test_recheck_rejects_bipartite_class_naming_a_vertex_twice():
 
 def test_recheck_rejects_connectivity_cutset_outside_the_graph():
     # a 6-cycle is 2-connected; an absent vertex made its cut look like 3
-    hexagon = nx.cycle_graph(6)
+    hexagon = _graph(nx.cycle_graph(6))
     assert _recheck(CertKind.CONNECTIVITY_WITNESS, hexagon, connectivity=2, cutset=[0, 3])
     assert not _recheck(CertKind.CONNECTIVITY_WITNESS, hexagon,
                         connectivity=3, cutset=[0, 3, 99])
     assert not _recheck(CertKind.CONNECTIVITY_WITNESS, hexagon,
                         connectivity=3, cutset=[0, 3, 3])
+
+
+def test_recheck_rejects_a_complete_graph_witness_on_other_graphs():
+    # connectivity n - 1 without a cutset claims that every two vertices
+    # are adjacent; only the tetrahedron's graph, K4, is complete
+    for name in CORPUS_NAMES:
+        m = named_polytope(name)
+        for g in (m.graph(), dual_map(m).graph()):
+            forged = _recheck(CertKind.CONNECTIVITY_WITNESS, g,
+                              connectivity=len(g.adj) - 1, cutset=None)
+            assert forged is (name == "tetrahedron"), name
+    k4 = named_polytope("tetrahedron").graph()
+    k, cert = vertex_connectivity(k4)
+    assert (k, cert.data["cutset"]) == (3, None) and recheck_certificate(cert, k4)
 
 
 def test_hamiltonian_cube():
@@ -259,7 +315,7 @@ def _cutset_scan(g, budget, what, ks, at_least, kind, name):
     every cutset S by size k in ks, then in lexicographic order, for one
     that leaves more than k components (at least k when at_least);
     (True, None) if there is none."""
-    n = g.number_of_nodes()
+    n = len(g.adj)
     if n > budget:
         raise BudgetExceeded(what, n, budget)
     nodes = sorted(g.nodes)
@@ -281,7 +337,7 @@ def _cutset_scan(g, budget, what, ks, at_least, kind, name):
 
 
 def _ref_tests(g, budget):
-    n = g.number_of_nodes()
+    n = len(g.adj)
     out = []
     for args in (("toughness enumeration", range(1, (n - 1) // 2 + 1), False,
                   CertKind.TOUGHNESS_VIOLATION, "1-tough"),
@@ -379,8 +435,8 @@ def ref_max_independent_set(g):
     """Reference for max_independent_set on a dict-of-sets adjacency with
     list candidates: branch and bound over vertices by ascending degree,
     then label, bounded by a greedy clique cover."""
-    order = sorted(g.nodes, key=lambda v: (g.degree(v), v))
-    adj = {v: {u for u in g[v]} for v in g.nodes}
+    order = sorted(g.nodes, key=lambda v: (len(g.adj[v]), v))
+    adj = {v: set(g.adj[v]) for v in g.nodes}
     best = []
 
     def clique_cover_bound(cands):
@@ -415,12 +471,12 @@ def ref_hamiltonian_cycle(g):
     used[] array: a path from the least label, extended through the tail's
     neighbours in label order, cut once an unused vertex has fewer than 2
     free neighbours."""
-    n = g.number_of_nodes()
+    n = len(g.adj)
     if n < 3:
         return None
     nodes = sorted(g.nodes)
     idx = {v: i for i, v in enumerate(nodes)}
-    adj = [sorted(idx[u] for u in g[v]) for v in nodes]
+    adj = [sorted(idx[u] for u in g.adj[v]) for v in nodes]
     start = 0
     path = [start]
     used = [False] * n
@@ -476,7 +532,7 @@ def _differential_graphs():
     ms = [named_polytope(name) for name in CORPUS_NAMES]
     ms += [prism(k) for k in range(3, 16)] + seeded_stackings(15, 22)
     gs = [m.graph() for m in ms + [dual_map(m) for m in ms]]
-    return gs + [nx.gnp_random_graph(11, 0.35, seed=seed) for seed in range(6)]
+    return gs + [_graph(nx.gnp_random_graph(11, 0.35, seed=seed)) for seed in range(6)]
 
 
 def test_searches_match_reference():
@@ -484,7 +540,7 @@ def test_searches_match_reference():
     # on every graph within each search's budget: all 102 and 95 of them
     sets = cycles = 0
     for g in _differential_graphs():
-        n = g.number_of_nodes()
+        n = len(g.adj)
         if n <= graphs.DEFAULT_INDEP_BUDGET:
             assert max_independent_set(g) == ref_max_independent_set(g)
             sets += 1

@@ -362,7 +362,7 @@ def _assert_same_as_fraction_reference(m, w, circuits):
 def test_ring_of_weight_exactly_two_fails():
     m = named_polytope("stacked-tetrahedron-1")
     circuits = enumerate_simple_circuits(m)
-    ring = [v for v, d in m.graph().degree if d == 4]
+    ring = [v for v, nbrs in enumerate(m.graph().adj) if len(nbrs) == 4]
     assert len(ring) == 3
     third = F(2, 3)
     for a, ok in (((third + BIG, third - BIG, third), False),    # ring: 2
